@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,6 +140,7 @@ _LAW_SPECS: list[tuple[str, str]] = [
 ]
 
 LAW_NAMES: tuple[str, ...] = tuple(name for name, _ in _LAW_SPECS)
+LAW_MODES: dict[str, str] = dict(_LAW_SPECS)
 EXTRA_LAWS: frozenset[str] = frozenset({"dunn2_dia", "dunn2_bdia"})
 CORE_LAWS: tuple[str, ...] = tuple(n for n in LAW_NAMES if n not in EXTRA_LAWS)
 H2GC_LAWS: tuple[str, ...] = tuple(
@@ -514,30 +515,36 @@ def dunn_separating_algebra() -> AlgebraWithOps:
     return attach_ops(base, dia_t, box_t, dia_t, box_t)
 
 
+STOCK_ALGEBRAS: dict[str, Callable[[], Union[HeytingAlgebra, AlgebraWithOps]]] = {
+    "chain2": lambda: chain(2),
+    "chain3": lambda: chain(3),
+    "chain4": lambda: chain(4),
+    "chain5": lambda: chain(5),
+    "diamond": diamond,
+    "diamond_with_top": diamond_with_top,
+    "diamond_with_bottom": diamond_with_bottom,
+    "chain3_identity": lambda: identity_expansion(chain(3)),
+    "dunn_separating": dunn_separating_algebra,
+}
+
+
 def stock_algebras() -> dict[str, Union[HeytingAlgebra, AlgebraWithOps]]:
     """Named structures usable wherever a file path would be accepted."""
-    return {
-        "chain2": chain(2),
-        "chain3": chain(3),
-        "chain4": chain(4),
-        "chain5": chain(5),
-        "diamond": diamond(),
-        "diamond_with_top": diamond_with_top(),
-        "diamond_with_bottom": diamond_with_bottom(),
-        "chain3_identity": identity_expansion(chain(3)),
-        "dunn_separating": dunn_separating_algebra(),
-    }
+    return {name: build() for name, build in STOCK_ALGEBRAS.items()}
 
 
-def enumerate_op_combos(n_max: int) -> Iterator[AlgebraWithOps]:
+def enumerate_op_combos(
+    n_max: int, max_gc_pairs: Optional[int] = None
+) -> Iterator[AlgebraWithOps]:
     """Every enumerated base algebra with every pair of Galois pairs.
 
     (dia, bbox) and (bdia, box) range independently over the Galois
-    connections of the base; each yielded structure is H2GC by
-    construction.  Deterministic: base order, then pair indices.
+    connections of the base, or over the first max_gc_pairs of them
+    when that is given; each yielded structure is H2GC by construction.
+    Deterministic: base order, then pair indices.
     """
     for base in enumerate_heyting(n_max):
-        pairs = enumerate_gc_pairs(base)
+        pairs = enumerate_gc_pairs(base)[:max_gc_pairs]
         for f1, g1 in pairs:
             for f2, g2 in pairs:
                 yield attach_ops(base, dia=f1, bbox=g1, bdia=f2, box=g2)

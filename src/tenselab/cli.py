@@ -38,11 +38,10 @@ class UsageError(ValueError):
 
 
 def _parse_bounds(text: Optional[str]) -> search.SearchBounds:
-    """size=5,frames=4,vars=3,seconds=300,pairs=all."""
+    """size=5,vars=3,pairs=N,seconds=300."""
     kwargs = {}
     keys = {
         "size": "max_algebra_size",
-        "frames": "max_frame_size",
         "vars": "max_vars",
         "pairs": "max_gc_pairs",
         "seconds": "deadline_seconds",
@@ -73,18 +72,18 @@ def _emit(doc, as_json: bool, lines) -> None:
             print(line)
 
 
-def _law_lines(alg: AlgebraWithOps) -> list[str]:
-    names = alg.names
+def _law_lines(report: dict) -> list[str]:
+    """Text form of formats.law_report_json."""
     out = []
-    for law, check in alg.laws.verdicts.items():
-        if check.holds:
+    for law, doc in report.items():
+        if doc["holds"]:
             out.append(f"  {law}: ok")
         else:
-            w = check.witness
-            args = ", ".join(names[i] for i in w.args)
-            out.append(
-                f"  {law}: FAILS at ({args}): {names[w.lhs]} vs {names[w.rhs]}"
+            w = doc["witness"]
+            lhs, rhs = (
+                json.dumps(v) if isinstance(v, bool) else v for v in (w["lhs"], w["rhs"])
             )
+            out.append(f"  {law}: FAILS at ({', '.join(w['args'])}): {lhs} vs {rhs}")
     return out
 
 
@@ -128,7 +127,7 @@ def _cmd_check_algebra(args) -> int:
     lines = [
         f"{alg.base.name or 'algebra'}: {len(alg.names)} elements, "
         f"core laws {'all hold' if ok else 'FAIL'}"
-    ] + _law_lines(alg)
+    ] + _law_lines(doc["laws"])
     _emit(doc, args.json, lines)
     return OK if ok else FOUND
 
@@ -294,7 +293,7 @@ def _cmd_fuzzy_build(args) -> int:
         f"{inst.name or 'instance'}: {len(result.carrier)} predicates over "
         f"{len(inst.universe)} points, core laws "
         f"{'all hold' if alg.laws.all_green else 'FAIL'}"
-    ] + _law_lines(alg)
+    ] + _law_lines(doc["laws"])
     _emit(doc, args.json, lines)
     return OK if alg.laws.all_green else FOUND
 
@@ -457,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("search", _cmd_search, "hunt a countermodel over enumerated algebras")
     p.add_argument("--formula", required=True)
     p.add_argument("--laws", help="comma list of required laws (default: all core)")
-    p.add_argument("--bounds", help="size=5,frames=4,vars=3,seconds=300,pairs=N")
+    p.add_argument("--bounds", help="size=5,vars=3,pairs=N,seconds=300")
 
     p = cmd("equiv", _cmd_equiv, "test whether two law sets coincide on small algebras")
     p.add_argument("--laws-a", required=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraWithOps, attach_ops
 from .frames import Frame, check_ik_frame, compose, IKFrameReport
-from .lattice import HeytingAlgebra, from_order, up_sets
+from .lattice import HeytingAlgebra, from_order, mask_rows, up_sets
 
 
 class DualityError(ValueError):
@@ -62,41 +62,21 @@ class NotAnIKFrame(DualityError):
 def prime_filters(base: HeytingAlgebra) -> tuple[int, ...]:
     """Prime filters of the algebra, as ascending element bitmasks.
 
-    A subset qualifies when it is nonempty, omits bottom, is up-closed
-    and meet-closed, and contains a or b whenever it contains a|b.
+    On a finite distributive lattice these are exactly the principal
+    filters of the join-irreducible elements (Birkhoff): a is
+    join-irreducible when it is not bottom and the join of everything
+    strictly below it is not a itself.
     """
-    n = base.n
     ups = base.poset().up_masks()
-    out = []
-    for mask in range(1, 1 << n):
-        if mask & (1 << base.bottom):
-            continue
-        ok = True
-        for a in range(n):
-            if not (mask >> a) & 1:
-                continue
-            if ups[a] & ~mask:
-                ok = False
-                break
-            for b in range(a, n):
-                if (mask >> b) & 1 and not (mask >> int(base.meet[a, b])) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for a in range(n):
-            for b in range(n):
-                if (mask >> int(base.join[a, b])) & 1:
-                    if not ((mask >> a) & 1 or (mask >> b) & 1):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(mask)
-    return tuple(out)
+    n = base.n
+    return tuple(
+        sorted(
+            ups[a]
+            for a in range(n)
+            if a != base.bottom
+            and base.join_all(b for b in range(n) if b != a and base.leq[b, a]) != a
+        )
+    )
 
 
 def _inverse_image_mask(table: np.ndarray, filter_mask: int) -> int:
@@ -134,9 +114,6 @@ def canonical_frame(alg: AlgebraWithOps) -> CanonicalFrameResult:
         m = base.meet_all(members)
         names.append("^" + base.names[m])
     leq = np.zeros((k, k), dtype=bool)
-    for i, fi in enumerate(filters):
-        for j, fj in enumerate(filters):
-            leq[i, j] = (fi & ~fj) == 0
     r_fwd = np.zeros((k, k), dtype=bool)
     r_bwd = np.zeros((k, k), dtype=bool)
     box_inv = [_inverse_image_mask(alg.box, fm) for fm in filters]
@@ -145,6 +122,7 @@ def canonical_frame(alg: AlgebraWithOps) -> CanonicalFrameResult:
     bdia_inv = [_inverse_image_mask(alg.bdia, fm) for fm in filters]
     for i, fi in enumerate(filters):
         for j, fj in enumerate(filters):
+            leq[i, j] = (fi & ~fj) == 0
             r_fwd[i, j] = (box_inv[i] & ~fj) == 0 and (fj & ~dia_inv[i]) == 0
             r_bwd[i, j] = (bbox_inv[j] & ~fi) == 0 and (fi & ~bdia_inv[j]) == 0
     agrees = bool((r_fwd == r_bwd).all())
@@ -189,8 +167,8 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     # from_order keeps the given name order, so indices align with carrier
     base = from_order(names, pairs, name=f"complex({frame.name or 'frame'})")
     n = frame.n
-    r_rows = [sum(1 << y for y in range(n) if frame.r[x, y]) for x in range(n)]
-    r_cols = [sum(1 << y for y in range(n) if frame.r[y, x]) for x in range(n)]
+    r_rows = mask_rows(frame.r)
+    r_cols = mask_rows(frame.r.T)
     dia_t, box_t, bdia_t, bbox_t = [], [], [], []
     for m in carrier:
         dia_m = sum(1 << x for x in range(n) if r_rows[x] & m)

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .algebra import (
+    LAW_MODES,
     LAW_NAMES,
+    STOCK_ALGEBRAS,
     AlgebraWithOps,
     attach_ops,
-    stock_algebras,
 )
-from .frames import Frame, Model, make_frame, stock_frames
+from .frames import STOCK_FRAMES, Frame, Model, make_frame
 from .fuzzy import FuzzyInstance, make_fuzzy_instance
 from .lattice import HeytingAlgebra, from_order
 from .proofs import (
@@ -201,22 +202,26 @@ def dump_algebra(alg: Union[HeytingAlgebra, AlgebraWithOps]) -> dict:
     return doc
 
 
-def resolve_algebra(spec: Doc, base_dir: Optional[Path] = None):
-    """Accept a stock name, a file path, or an inline document."""
+def _resolve(spec: Doc, stock: Mapping, load: Callable, what: str, base_dir):
+    """Build a stock structure by name, or load a file path or inline document."""
     if isinstance(spec, Mapping):
-        return load_algebra(spec)
-    stock = stock_algebras()
+        return load(spec)
     if isinstance(spec, str) and spec in stock:
-        return stock[spec]
+        return stock[spec]()
     path = Path(spec)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
     if not path.exists():
         raise FormatError(
-            f"{spec!r} is neither a stock algebra ({', '.join(sorted(stock))}) "
+            f"{spec!r} is neither a stock {what} ({', '.join(sorted(stock))}) "
             "nor an existing file"
         )
-    return load_algebra(path)
+    return load(path)
+
+
+def resolve_algebra(spec: Doc, base_dir: Optional[Path] = None):
+    """Accept a stock algebra name, a file path, or an inline document."""
+    return _resolve(spec, STOCK_ALGEBRAS, load_algebra, "algebra", base_dir)
 
 
 # ------------------------------------------------------------------ frames
@@ -262,20 +267,8 @@ def dump_frame(frame: Frame) -> dict:
 
 
 def resolve_frame(spec: Doc, base_dir: Optional[Path] = None) -> Frame:
-    if isinstance(spec, Mapping):
-        return load_frame(spec)
-    stock = stock_frames()
-    if isinstance(spec, str) and spec in stock:
-        return stock[spec]
-    path = Path(spec)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    if not path.exists():
-        raise FormatError(
-            f"{spec!r} is neither a stock frame ({', '.join(sorted(stock))}) "
-            "nor an existing file"
-        )
-    return load_frame(path)
+    """Accept a stock frame name, a file path, or an inline document."""
+    return _resolve(spec, STOCK_FRAMES, load_frame, "frame", base_dir)
 
 
 def load_model(doc: Doc) -> Model:
@@ -506,12 +499,14 @@ def law_report_json(alg: AlgebraWithOps) -> dict:
             out[law] = {"holds": True}
         else:
             w = check.witness
+            # the sides of an "iff" law are truth values, not elements
+            side = bool if LAW_MODES[law] == "iff" else names.__getitem__
             out[law] = {
                 "holds": False,
                 "witness": {
                     "args": [names[i] for i in w.args],
-                    "lhs": names[w.lhs],
-                    "rhs": names[w.rhs],
+                    "lhs": side(w.lhs),
+                    "rhs": side(w.rhs),
                 },
             }
     return out

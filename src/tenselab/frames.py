@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import Poset, transitive_closure, up_sets
+from .lattice import Poset, canonical_code, mask_rows, transitive_closure, up_sets
 from .syntax import (
     And,
     BBox,
@@ -74,13 +74,6 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) > 0
 
 
-def _mask_rows(rel: np.ndarray) -> tuple[int, ...]:
-    n = rel.shape[0]
-    return tuple(
-        sum(1 << y for y in range(n) if rel[x, y]) for x in range(n)
-    )
-
-
 class Frame:
     """Finite preordered set with an accessibility relation."""
 
@@ -106,11 +99,11 @@ class Frame:
         # modal neighbourhoods; see module docstring
         self.r_up = compose(r, geq)        # for F (rows) and H (columns)
         self.leq_r = compose(leq, r)       # for G (rows) and P (columns)
-        self.up_rows = _mask_rows(leq)     # up-set of each world
-        self.f_rows = _mask_rows(self.r_up)
-        self.g_rows = _mask_rows(self.leq_r)
-        self.p_cols = _mask_rows(self.leq_r.T)
-        self.h_cols = _mask_rows(self.r_up.T)
+        self.up_rows = mask_rows(leq)      # up-set of each world
+        self.f_rows = mask_rows(self.r_up)
+        self.g_rows = mask_rows(self.leq_r)
+        self.p_cols = mask_rows(self.leq_r.T)
+        self.h_cols = mask_rows(self.r_up.T)
         self.full = (1 << n) - 1
 
     def index(self, name: str) -> int:
@@ -380,20 +373,6 @@ def _all_preorders(n: int) -> list[np.ndarray]:
     return out
 
 
-def _canon_frame_code(leq: np.ndarray, r: np.ndarray) -> tuple:
-    n = leq.shape[0]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        p = list(perm)
-        key = (
-            tuple(bool(leq[p[i], p[j]]) for i in range(n) for j in range(n)),
-            tuple(bool(r[p[i], p[j]]) for i in range(n) for j in range(n)),
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def enumerate_frames(
     n_max: int, require_ik: bool = True, up_to_iso: bool = True
 ) -> Iterator[Frame]:
@@ -409,16 +388,13 @@ def enumerate_frames(
         names = tuple(f"w{i}" for i in range(n))
         seen = set()
         for leq in _all_preorders(n):
-            cells = [(i, j) for i in range(n) for j in range(n)]
             for bits in itertools.product((False, True), repeat=n * n):
-                r = np.zeros((n, n), dtype=bool)
-                for (i, j), b in zip(cells, bits):
-                    r[i, j] = b
+                r = np.array(bits, dtype=bool).reshape(n, n)
                 frame = Frame(names, leq, r, name=f"fr{n}_{counter}")
                 if require_ik and not check_ik_frame(frame).is_ik:
                     continue
                 if up_to_iso:
-                    code = _canon_frame_code(leq, r)
+                    code = canonical_code(frame.up_rows, mask_rows(r))
                     if code in seen:
                         continue
                     seen.add(code)
@@ -453,13 +429,16 @@ def sample_frames(
     return out
 
 
+STOCK_FRAMES: dict[str, Callable[[], Frame]] = {
+    "one_point": lambda: make_frame(("w",), [], [("w", "w")], name="one_point"),
+    "two_forward": lambda: make_frame(
+        ("w", "u"), [("w", "u")], [("u", "w")], name="two_forward"
+    ),
+    "two_chain_r_leq": lambda: make_frame(
+        ("w", "u"), [("w", "u")], [("w", "u")], name="two_chain_r_leq"
+    ),
+}
+
+
 def stock_frames() -> dict[str, Frame]:
-    return {
-        "one_point": make_frame(("w",), [], [("w", "w")], name="one_point"),
-        "two_forward": make_frame(
-            ("w", "u"), [("w", "u")], [("u", "w")], name="two_forward"
-        ),
-        "two_chain_r_leq": make_frame(
-            ("w", "u"), [("w", "u")], [("w", "u")], name="two_chain_r_leq"
-        ),
-    }
+    return {name: build() for name, build in STOCK_FRAMES.items()}

@@ -80,21 +80,18 @@ class Poset:
 
     def up_mask(self, i: int) -> int:
         """Bitmask of the principal up-set of element i."""
-        return _mask_of_bools(self.leq[i])
+        return self.up_masks()[i]
 
     def up_masks(self) -> tuple[int, ...]:
-        return tuple(self.up_mask(i) for i in range(self.n))
+        return mask_rows(self.leq)
 
     def members(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in range(self.n) if mask >> i & 1)
 
 
-def _mask_of_bools(row: Iterable[bool]) -> int:
-    m = 0
-    for i, b in enumerate(row):
-        if b:
-            m |= 1 << i
-    return m
+def mask_rows(rel: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as a bitmask: bit j of row i is rel[i, j]."""
+    return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in rel.tolist())
 
 
 def is_up_set(poset: Poset, mask: int) -> bool:
@@ -189,10 +186,6 @@ class HeytingAlgebra:
 
     def poset(self) -> Poset:
         return Poset(self.names, self.leq)
-
-    def leq_code(self) -> tuple[int, ...]:
-        """Row bitmasks of leq; identifies the labeled order."""
-        return tuple(_mask_of_bools(self.leq[i]) for i in range(self.n))
 
     def __repr__(self) -> str:
         label = self.name or ",".join(self.names)
@@ -331,24 +324,30 @@ def _is_bounded_distributive_lattice(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def _canon_code(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least permuted copy of the leq row-masks."""
-    n = len(rows)
-    best = None
+def relabelings(*relations: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every relabeled copy of row-mask relations on one carrier.
+
+    Each permutation p of the carrier gives one copy: its row i is row
+    p[i] of the original with bit p[j] moved to bit j.
+    """
+    n = len(relations[0])
     for perm in itertools.permutations(range(n)):
-        cand = []
-        for i in range(n):
-            m = 0
-            src = rows[perm[i]]
-            for j in range(n):
-                if src >> perm[j] & 1:
-                    m |= 1 << j
-            cand.append(m)
-        cand = tuple(cand)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+        code = []
+        for rel in relations:
+            rows = []
+            for pi in perm:
+                src, m = rel[pi], 0
+                for j, pj in enumerate(perm):
+                    if src >> pj & 1:
+                        m |= 1 << j
+                rows.append(m)
+            code.append(tuple(rows))
+        yield tuple(code)
+
+
+def canonical_code(*relations: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Least relabeled copy: equal codes <=> isomorphic structures."""
+    return min(relabelings(*relations))
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +371,7 @@ def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
             continue
         if not _is_bounded_distributive_lattice(rows_t):
             continue
-        found.add(_canon_code(rows_t))
+        found.add(canonical_code(rows_t)[0])
     return tuple(sorted(found))
 
 
@@ -393,7 +392,7 @@ def enumerate_heyting(
     With up_to_iso each isomorphism class appears exactly once (canonical
     labeling); without it every labeled copy of each class on carrier
     0..n-1 appears.  Deterministic order: by size, then canonical code,
-    then (labeled mode) leq code.
+    then (labeled mode) leq row masks.
     """
     if not 1 <= n_max <= MAX_ENUM_SIZE:
         raise OrderError(f"n_max must be in 1..{MAX_ENUM_SIZE}")
@@ -404,17 +403,7 @@ def enumerate_heyting(
                 yield _algebra_from_rows(code, name=f"ha{n}_{counter}")
                 counter += 1
             else:
-                seen = set()
-                for perm in itertools.permutations(range(n)):
-                    cand = []
-                    for i in range(n):
-                        m = 0
-                        for j in range(n):
-                            if code[perm[i]] >> perm[j] & 1:
-                                m |= 1 << j
-                        cand.append(m)
-                    seen.add(tuple(cand))
-                for rows in sorted(seen):
+                for (rows,) in sorted(set(relabelings(code))):
                     yield _algebra_from_rows(rows, name=f"ha{n}_{counter}")
                     counter += 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algebra import (
     H2GC_FS_LAWS,
@@ -25,8 +25,7 @@ from .algebra import (
     EvalError,
     ModalOperatorPresent,
     algebra_validity,
-    attach_ops,
-    enumerate_gc_pairs,
+    enumerate_op_combos,
     evaluate,
     identity_expansion,
     valuation_names,
@@ -68,13 +67,12 @@ class SearchBounds:
     """
 
     max_algebra_size: int = 5
-    max_frame_size: int = 4
     max_vars: int = 3
     max_gc_pairs: Optional[int] = None
     deadline_seconds: float = 300.0
 
     def __post_init__(self):
-        if min(self.max_algebra_size, self.max_frame_size, self.max_vars) < 1:
+        if min(self.max_algebra_size, self.max_vars) < 1:
             raise ValueError("size and variable bounds must be positive")
         if self.max_gc_pairs is not None and self.max_gc_pairs < 1:
             raise ValueError("max_gc_pairs must be positive when given")
@@ -147,18 +145,6 @@ class _Clock:
         return self.elapsed > self.limit
 
 
-def _combo_stream(bounds: SearchBounds) -> Iterator[AlgebraWithOps]:
-    # same ordering contract as algebra.enumerate_op_combos, plus the
-    # optional per-base cap on Galois pairs
-    for base in enumerate_heyting(bounds.max_algebra_size):
-        pairs = enumerate_gc_pairs(base)
-        if bounds.max_gc_pairs is not None:
-            pairs = pairs[: bounds.max_gc_pairs]
-        for f1, g1 in pairs:
-            for f2, g2 in pairs:
-                yield attach_ops(base, dia=f1, bbox=g1, bdia=f2, box=g2)
-
-
 def _checked_laws(laws: Sequence[str], label: str) -> tuple[str, ...]:
     laws = tuple(laws)
     unknown = sorted(set(laws) - set(LAW_NAMES))
@@ -171,6 +157,28 @@ def _stats(clock: _Clock, **counts: int) -> dict[str, float]:
     out: dict[str, float] = dict(counts)
     out["seconds"] = round(clock.elapsed, 3)
     return out
+
+
+def _scan_combos(
+    bounds: SearchBounds,
+    ambient: Sequence[str],
+    judge: Callable[[AlgebraWithOps], Optional[object]],
+) -> Verdict:
+    # walk the combo stream; judge sees each structure whose ambient laws
+    # hold and returns a witness to stop the scan, or None to go on
+    clock = _Clock(bounds.deadline_seconds)
+    combos = eligible = 0
+    for alg in enumerate_op_combos(bounds.max_algebra_size, bounds.max_gc_pairs):
+        if clock.expired():
+            return Verdict("timeout", None, _stats(clock, combos=combos, eligible=eligible))
+        combos += 1
+        if not all(alg.laws.holds(law) for law in ambient):
+            continue
+        eligible += 1
+        witness = judge(alg)
+        if witness is not None:
+            return Verdict("found", witness, _stats(clock, combos=combos, eligible=eligible))
+    return Verdict("exhausted", None, _stats(clock, combos=combos, eligible=eligible))
 
 
 def find_algebra_countermodel(
@@ -191,24 +199,18 @@ def find_algebra_countermodel(
     bounds = bounds or DEFAULT_BOUNDS
     if len(variables_of(formula)) > bounds.max_vars:
         raise CapExceeded("variable count", bounds.max_vars)
-    clock = _Clock(bounds.deadline_seconds)
-    combos = eligible = 0
-    for alg in _combo_stream(bounds):
-        if clock.expired():
-            return Verdict("timeout", None, _stats(clock, combos=combos, eligible=eligible))
-        combos += 1
-        if not all(alg.laws.holds(law) for law in laws_required):
-            continue
-        eligible += 1
+
+    def judge(alg: AlgebraWithOps) -> Optional[CounterModel]:
         cex = algebra_validity(alg, formula, var_cap=bounds.max_vars)
-        if cex is not None:
-            witness = CounterModel(
-                algebra=alg,
-                valuation=valuation_names(alg, cex),
-                value=alg.names[evaluate(alg, cex, formula)],
-            )
-            return Verdict("found", witness, _stats(clock, combos=combos, eligible=eligible))
-    return Verdict("exhausted", None, _stats(clock, combos=combos, eligible=eligible))
+        if cex is None:
+            return None
+        return CounterModel(
+            algebra=alg,
+            valuation=valuation_names(alg, cex),
+            value=alg.names[evaluate(alg, cex, formula)],
+        )
+
+    return _scan_combos(bounds, laws_required, judge)
 
 
 def test_law_equivalence(
@@ -231,26 +233,19 @@ def test_law_equivalence(
     laws_b = _checked_laws(laws_b, "laws_b")
     ambient = _checked_laws(ambient, "ambient")
     bounds = bounds or DEFAULT_BOUNDS
-    clock = _Clock(bounds.deadline_seconds)
-    combos = eligible = 0
-    for alg in _combo_stream(bounds):
-        if clock.expired():
-            return Verdict("timeout", None, _stats(clock, combos=combos, eligible=eligible))
-        combos += 1
-        if not all(alg.laws.holds(law) for law in ambient):
-            continue
-        eligible += 1
+
+    def judge(alg: AlgebraWithOps) -> Optional[Separation]:
         a_green = all(alg.laws.holds(law) for law in laws_a)
         b_green = all(alg.laws.holds(law) for law in laws_b)
         if direction != "backward" and a_green and not b_green:
             violated = next(law for law in laws_b if not alg.laws.holds(law))
-            witness = Separation(alg, laws_a, violated, "forward")
-            return Verdict("found", witness, _stats(clock, combos=combos, eligible=eligible))
+            return Separation(alg, laws_a, violated, "forward")
         if direction != "forward" and b_green and not a_green:
             violated = next(law for law in laws_a if not alg.laws.holds(law))
-            witness = Separation(alg, laws_b, violated, "backward")
-            return Verdict("found", witness, _stats(clock, combos=combos, eligible=eligible))
-    return Verdict("exhausted", None, _stats(clock, combos=combos, eligible=eligible))
+            return Separation(alg, laws_b, violated, "backward")
+        return None
+
+    return _scan_combos(bounds, ambient, judge)
 
 
 def _eval_direct(base: HeytingAlgebra, env: Mapping[str, int], f: Formula) -> int:

@@ -27,7 +27,7 @@ from tenselab.algebra import (
     stock_algebras,
     valuation_names,
 )
-from tenselab.lattice import chain, diamond, diamond_with_top
+from tenselab.lattice import chain, diamond, diamond_with_top, enumerate_heyting
 from tenselab.syntax import (
     And,
     BBox,
@@ -305,6 +305,27 @@ class TestEnumeration:
 
     def test_full_combo_count(self, op_combos_upto5):
         assert len(op_combos_upto5) == 10597
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_capped_stream_keeps_first_pairs(self, k):
+        # the cap keeps the combos whose two Galois pairs are both among
+        # the base's first k, in the uncapped stream's order
+        def tables(alg):
+            return tuple(tuple(t.tolist()) for t in (alg.dia, alg.bbox, alg.bdia, alg.box))
+
+        first = {b.name: enumerate_gc_pairs(b)[:k] for b in enumerate_heyting(4)}
+        want = [
+            (alg.base.name, tables(alg))
+            for alg in enumerate_op_combos(4)
+            if tables(alg)[:2] in first[alg.base.name]
+            and tables(alg)[2:] in first[alg.base.name]
+        ]
+        got = [
+            (alg.base.name, tables(alg))
+            for alg in enumerate_op_combos(4, max_gc_pairs=k)
+        ]
+        assert got == want
+        assert len(got) < 697
 
     def test_stock_keys(self):
         assert sorted(stock_algebras()) == [

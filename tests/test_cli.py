@@ -95,6 +95,38 @@ class TestCheckAlgebra:
         assert code == cli.USAGE
         assert "neither a stock algebra" in err
 
+    def test_galois_witness_prints_truth_values(self, capsys, tmp_path):
+        # dia = id is not left adjoint to bbox = (0, 0, 1): at (m, m)
+        # "dia m <= m" is true while "m <= bbox m" is false
+        names = ["0", "m", "1"]
+        ident = {s: s for s in names}
+        path = tmp_path / "bad_gc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "bad_gc",
+                    "elements": names,
+                    "leq": [["0", "m"], ["m", "1"]],
+                    "ops": {
+                        "dia": ident,
+                        "box": ident,
+                        "bdia": ident,
+                        "bbox": {"0": "0", "m": "0", "1": "1"},
+                    },
+                }
+            )
+        )
+        code, out, err = run(capsys, "check-algebra", "--algebra", str(path))
+        assert (code, err) == (cli.FOUND, "")
+        assert "  gc_dia_bbox: FAILS at (m, m): true vs false" in out.splitlines()
+        code, doc = run_json(capsys, "check-algebra", "--json", "--algebra", str(path))
+        assert code == cli.FOUND
+        assert doc["laws"]["gc_dia_bbox"]["witness"] == {
+            "args": ["m", "m"],
+            "lhs": True,
+            "rhs": False,
+        }
+
 
 class TestCheckFrame:
     def test_ik_frame(self, capsys):
@@ -401,7 +433,7 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "bounds",
-        ["size", "shoes=2", "size=two", "size=9"],
+        ["size", "shoes=2", "size=two", "size=9", "frames=4"],
     )
     def test_bad_bounds(self, capsys, bounds):
         code, out, err = run(

@@ -24,6 +24,7 @@ from tenselab.frames import (
     stock_frames,
     truth_set,
 )
+from tenselab.fuzzy import build_fuzzy_algebra, dunn2_failure_instance
 from tenselab.lattice import chain, diamond, diamond_with_bottom, enumerate_heyting, up_sets
 
 # ---------------------------------------------------------------- oracles
@@ -57,7 +58,7 @@ def _brute_prime_filters(base):
 
 class TestPrimeFilters:
     def test_against_brute_force(self):
-        for alg in enumerate_heyting(5):
+        for alg in enumerate_heyting(6):
             assert prime_filters(alg) == _brute_prime_filters(alg)
 
     def test_chain3_masks(self):
@@ -93,6 +94,13 @@ class TestCanonicalFrame:
         assert res.filters == (0b100, 0b110)
         assert res.key_lemma_agrees
         assert check_ik_frame(res.frame).is_ik
+
+    def test_fuzzy_dunn2_worlds(self):
+        alg = build_fuzzy_algebra(dunn2_failure_instance()).algebra
+        assert alg.n == 25
+        assert canonical_frame(alg).frame.names == (
+            "^(0,1)", "^(0,a)", "^(0,b)", "^(1,0)", "^(a,0)", "^(b,0)",
+        )
 
     def test_filter_order_is_inclusion(self):
         res = canonical_frame(identity_expansion(diamond()))

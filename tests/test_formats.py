@@ -25,6 +25,7 @@ from tenselab.formats import (
 from tenselab.fixtures import fixture_script
 from tenselab.frames import Model, NotUpClosed, stock_frames, truth_set
 from tenselab.fuzzy import dunn2_failure_instance
+from tenselab import lattice
 from tenselab.lattice import NotDistributive, chain
 from tenselab.proofs import check_proof
 from tenselab.search import SearchBounds, conservativity_check, find_algebra_countermodel
@@ -126,6 +127,22 @@ class TestCorpus:
         assert fr.names == ("w",)
         with pytest.raises(FormatError, match="neither a stock"):
             resolve_algebra("no_such_thing_anywhere")
+
+    def test_resolution_builds_only_what_it_returns(self, corpus_dir, monkeypatch):
+        # stock algebras are built through lattice.from_order; a file is
+        # loaded through the name formats imported, which is not counted
+        calls = []
+        original = lattice.from_order
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "from_order", counted)
+        resolve_algebra("algebras/three_chain.json", base_dir=corpus_dir)
+        assert calls == []
+        resolve_algebra("chain3")
+        assert calls == [("0", "m", "1")]
 
 
 class TestRejections:
