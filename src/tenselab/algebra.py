@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -206,75 +207,124 @@ class AlgebraWithOps:
         return f"AlgebraWithOps({self.base.name or ','.join(self.base.names)})"
 
 
-def _check_laws(
-    base: HeytingAlgebra,
-    dia: np.ndarray,
-    box: np.ndarray,
-    bdia: np.ndarray,
-    bbox: np.ndarray,
-) -> LawReport:
-    n = base.n
-    ar = np.arange(n)
-    col = ar[:, None]
-    row = ar[None, :]
+# --------------------------------------------------------------- grading
+
+_HOLDS = LawCheck(True, None)
+
+# The grader's law order: the seven laws of one (dia, bbox) candidate,
+# the same seven for one (bdia, box) candidate, then the four laws that
+# read dia with box and their mirrors that read bdia with bbox.
+_LEFT = ("gc_dia_bbox", "additive_dia", "normal_dia", "multiplicative_bbox",
+         "conormal_bbox", "br1", "br2")
+_RIGHT = ("gc_bdia_box", "additive_bdia", "normal_bdia", "multiplicative_box",
+          "conormal_box", "br3", "br4")
+_FORWARD = ("fs1", "fs2", "d1", "dunn2_dia")
+_BACKWARD = ("fs3", "fs4", "d2", "dunn2_bdia")
+_IN_LAW_ORDER = itemgetter(
+    *((_LEFT + _RIGHT + _FORWARD + _BACKWARD).index(name) for name in LAW_NAMES)
+)
+
+
+def _verdicts(ok: np.ndarray, lhs: np.ndarray, rhs) -> list[LawCheck]:
+    """One verdict per candidate on ok's leading axis.
+
+    The other axes are the law's arguments.  A failing candidate's
+    witness is its first failing argument tuple in row-major order, with
+    both sides there; lhs and rhs broadcast to ok's shape.
+    """
+    count, shape = ok.shape[0], ok.shape[1:]
+    flat = ok.reshape(count, -1)
+    held = flat.all(axis=1)
+    out = [_HOLDS] * count
+    if held.all():
+        return out
+    bad = np.flatnonzero(~held)
+    at = np.unravel_index(flat[bad].argmin(axis=1), shape) if shape else ()
+    lw, rw = (
+        np.broadcast_to(side, ok.shape)[(bad, *at)].astype(np.int64).tolist()
+        for side in (lhs, rhs)
+    )
+    args = zip(*(axis.tolist() for axis in at)) if shape else itertools.repeat(())
+    made: dict[tuple, LawCheck] = {}  # candidates failing alike share one verdict
+    for c, key in zip(bad.tolist(), zip(args, lw, rw)):
+        check = made.get(key)
+        if check is None:
+            check = made[key] = LawCheck(False, LawWitness(*key))
+        out[c] = check
+    return out
+
+
+def _one_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> list[list[LawCheck]]:
+    """The laws of (diamond, box) candidates d[c], b[c], in the order of
+    _LEFT: adjunction, additivity and normality of the diamond,
+    multiplicativity and conormality of the box, the two round trips."""
+    leq, join, meet = base.leq, base.join, base.meet
+    ar = np.arange(base.n)
+
+    def eq(lhs, rhs):
+        return _verdicts(lhs == rhs, lhs, rhs)
+
+    below = leq[d[:, :, None], ar]  # d x <= y
+    above = leq[ar[:, None], b[:, None, :]]  # x <= b y
+    box_dia = np.take_along_axis(b, d, axis=1)
+    dia_box = np.take_along_axis(d, b, axis=1)
+    return [
+        _verdicts(below == above, below, above),
+        eq(d[:, join], join[d[:, :, None], d[:, None, :]]),
+        eq(d[:, base.bottom], base.bottom),
+        eq(b[:, meet], meet[b[:, :, None], b[:, None, :]]),
+        eq(b[:, base.top], base.top),
+        _verdicts(leq[ar, box_dia], ar, box_dia),
+        _verdicts(leq[dia_box, ar], dia_box, ar),
+    ]
+
+
+def _two_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> list[list[LawCheck]]:
+    """The laws reading a diamond d with the box b of the other pair, in
+    the order of _FORWARD (dia with box) or _BACKWARD (bdia with bbox).
+    One of d and b has a single row; the verdicts run along the other."""
     leq, join, meet, imp = base.leq, base.join, base.meet, base.imp
-    bot_i, top_i = base.bottom, base.top
 
-    grids: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    def leq_law(lhs, rhs):
+        return _verdicts(leq[lhs, rhs], lhs, rhs)
 
-    def leq_law(name, lhs, rhs):
-        grids[name] = (leq[lhs, rhs], lhs, rhs)
+    dx, dy, bx, by = d[:, :, None], d[:, None, :], b[:, :, None], b[:, None, :]
+    return [
+        leq_law(d[:, imp], imp[bx, dy]),
+        leq_law(imp[dx, by], b[:, imp]),
+        leq_law(meet[dx, by], d[:, meet]),
+        leq_law(b[:, join], join[bx, dy]),
+    ]
 
-    def eq_law(name, lhs, rhs):
-        grids[name] = (lhs == rhs, lhs, rhs)
 
-    lhs = leq[dia[col], row].astype(np.int64)
-    rhs = leq[col, bbox[row]].astype(np.int64)
-    grids["gc_dia_bbox"] = (lhs == rhs, lhs, rhs)
-    lhs = leq[bdia[col], row].astype(np.int64)
-    rhs = leq[col, box[row]].astype(np.int64)
-    grids["gc_bdia_box"] = (lhs == rhs, lhs, rhs)
+def _grade(
+    base: HeytingAlgebra,
+    left: tuple[np.ndarray, np.ndarray],
+    right: tuple[np.ndarray, np.ndarray],
+) -> Iterator[LawReport]:
+    """Law reports of every (left, right) candidate, left index outermost.
 
-    eq_law("additive_dia", dia[join], join[dia[col], dia[row]])
-    eq_law("normal_dia", dia[bot_i : bot_i + 1], np.array([bot_i]))
-    eq_law("additive_bdia", bdia[join], join[bdia[col], bdia[row]])
-    eq_law("normal_bdia", bdia[bot_i : bot_i + 1], np.array([bot_i]))
-    eq_law("multiplicative_box", box[meet], meet[box[col], box[row]])
-    eq_law("conormal_box", box[top_i : top_i + 1], np.array([top_i]))
-    eq_law("multiplicative_bbox", bbox[meet], meet[bbox[col], bbox[row]])
-    eq_law("conormal_bbox", bbox[top_i : top_i + 1], np.array([top_i]))
+    left stacks (dia, bbox) candidates and right stacks (bdia, box)
+    candidates, one table per row.  The fourteen laws that read one
+    side are graded once per candidate; the eight that read both sides
+    are graded one left candidate at a time against the whole right
+    stack, so no array holds more than len(right) * n * n cells.
+    """
+    dias, bboxes = left
+    bdias, boxes = right
+    lefts = list(zip(*_one_pair(base, dias, bboxes)))
+    rights = list(zip(*_one_pair(base, bdias, boxes)))
+    for i, own in enumerate(lefts):
+        forward = zip(*_two_pair(base, dias[i : i + 1], boxes))
+        backward = zip(*_two_pair(base, bdias, bboxes[i : i + 1]))
+        for other, fw, bw in zip(rights, forward, backward):
+            yield LawReport(dict(zip(LAW_NAMES, _IN_LAW_ORDER(own + other + fw + bw))))
 
-    leq_law("br1", ar, bbox[dia])
-    leq_law("br2", dia[bbox], ar)
-    leq_law("br3", ar, box[bdia])
-    leq_law("br4", bdia[box], ar)
 
-    leq_law("fs1", dia[imp], imp[box[col], dia[row]])
-    leq_law("fs2", imp[dia[col], box[row]], box[imp])
-    leq_law("fs3", bdia[imp], imp[bbox[col], bdia[row]])
-    leq_law("fs4", imp[bdia[col], bbox[row]], bbox[imp])
-
-    leq_law("d1", meet[dia[col], box[row]], dia[meet])
-    leq_law("d2", meet[bdia[col], bbox[row]], bdia[meet])
-
-    leq_law("dunn2_dia", box[join], join[box[col], dia[row]])
-    leq_law("dunn2_bdia", bbox[join], join[bbox[col], bdia[row]])
-
-    verdicts: dict[str, LawCheck] = {}
-    for name, _mode in _LAW_SPECS:
-        ok, lhs, rhs = grids[name]
-        ok = np.asarray(ok)
-        if ok.all():
-            verdicts[name] = LawCheck(True, None)
-            continue
-        # first failing tuple in row-major element order
-        at = tuple(int(v) for v in np.argwhere(~ok)[0])
-        if ok.ndim == 1 and len(at) == 1 and name.startswith(("normal", "conormal")):
-            at = ()
-        lw = int(np.asarray(lhs)[tuple(np.argwhere(~ok)[0])])
-        rw = int(np.asarray(rhs)[tuple(np.argwhere(~ok)[0])])
-        verdicts[name] = LawCheck(False, LawWitness(at, lw, rw))
-    return LawReport(verdicts)
+def _frozen(tables) -> np.ndarray:
+    arr = np.asarray(tables, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 def attach_ops(
@@ -288,14 +338,19 @@ def attach_ops(
     n = base.n
     tables = {}
     for label, t in (("dia", dia), ("box", box), ("bdia", bdia), ("bbox", bbox)):
-        arr = np.asarray(list(t), dtype=np.int64)
+        arr = _frozen(list(t))
         if arr.shape != (n,):
             raise ValueError(f"{label} table must list {n} values")
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"{label} table index out of range")
-        arr.setflags(write=False)
         tables[label] = arr
-    laws = _check_laws(base, tables["dia"], tables["box"], tables["bdia"], tables["bbox"])
+    laws = next(
+        _grade(
+            base,
+            (tables["dia"][None], tables["bbox"][None]),
+            (tables["bdia"][None], tables["box"][None]),
+        )
+    )
     return AlgebraWithOps(
         base, tables["dia"], tables["box"], tables["bdia"], tables["bbox"], laws
     )
@@ -361,17 +416,32 @@ def enumerate_gc_pairs(base: HeytingAlgebra) -> list[tuple[tuple[int, ...], tupl
     """All Galois connections (f, g) on the algebra, ordered by f's table.
 
     f ranges over the join-and-bottom-preserving unary maps; g is the
-    residual fixed by f.
+    residual fixed by f.  On a finite distributive lattice such an f is
+    fixed by its values on the join-irreducibles J, and every monotone
+    map J -> L extends to one by f(x) = join of f(j) over j <= x
+    (Birkhoff), so the monotone maps are built one irreducible at a time
+    along a linear extension of J.
     """
-    n = base.n
-    pairs = []
-    for f in itertools.product(range(n), repeat=n):
-        arr = np.asarray(f, dtype=np.int64)
-        if _is_additive(base, arr) is not None:
-            continue
-        g = adjoint_of(base, f, "lower")
-        pairs.append((tuple(f), g))
-    return pairs
+    n, leq, join = base.n, base.leq, base.join
+    # fewer elements below comes first: a linear extension of J
+    jis = sorted(base.join_irreducibles(), key=lambda j: int(leq[:, j].sum()))
+    # one row per monotone map on the irreducibles placed so far
+    images = np.zeros((1, 0), dtype=np.int64)
+    for pos, j in enumerate(jis):
+        floor = np.full(len(images), base.bottom, dtype=np.int64)
+        for q in range(pos):
+            if leq[jis[q], j]:
+                floor = join[floor, images[:, q]]
+        rows, values = np.nonzero(leq[floor])
+        images = np.column_stack([images[rows], values])
+    f = np.full((len(images), n), base.bottom, dtype=np.int64)
+    for q, j in enumerate(jis):
+        f[:, leq[j]] = join[f[:, leq[j]], images[:, q, None]]
+    f = f[np.lexsort(f.T[::-1])]
+    g = np.full_like(f, base.bottom)
+    for a in range(n):
+        g = np.where(leq[f[:, a]], join[g, a], g)
+    return list(zip(map(tuple, f.tolist()), map(tuple, g.tolist())))
 
 
 # ------------------------------------------------------------- evaluation
@@ -540,14 +610,17 @@ def enumerate_op_combos(
 
     (dia, bbox) and (bdia, box) range independently over the Galois
     connections of the base, or over the first max_gc_pairs of them
-    when that is given; each yielded structure is H2GC by construction.
-    Deterministic: base order, then pair indices.
+    when that is given, so each structure is H2GC by construction; its
+    laws are graded all the same.  Deterministic: base order, then pair
+    indices.
     """
     for base in enumerate_heyting(n_max):
         pairs = enumerate_gc_pairs(base)[:max_gc_pairs]
-        for f1, g1 in pairs:
-            for f2, g2 in pairs:
-                yield attach_ops(base, dia=f1, bbox=g1, bdia=f2, box=g2)
+        lowers = _frozen([f for f, _ in pairs])
+        uppers = _frozen([g for _, g in pairs])
+        reports = _grade(base, (lowers, uppers), (lowers, uppers))
+        for (i, k), laws in zip(itertools.product(range(len(pairs)), repeat=2), reports):
+            yield AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], laws)
 
 
 @lru_cache(maxsize=4)

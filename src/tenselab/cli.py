@@ -37,15 +37,19 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_bounds(text: Optional[str]) -> search.SearchBounds:
-    """size=5,vars=3,pairs=N,seconds=300."""
+# --bounds key -> SearchBounds field; equiv has no formula for vars to bound
+_SEARCH_BOUNDS = {
+    "size": "max_algebra_size",
+    "vars": "max_vars",
+    "pairs": "max_gc_pairs",
+    "seconds": "deadline_seconds",
+}
+_EQUIV_BOUNDS = {k: v for k, v in _SEARCH_BOUNDS.items() if k != "vars"}
+
+
+def _parse_bounds(text: Optional[str], keys: dict[str, str]) -> search.SearchBounds:
+    """Comma-separated key=value pairs, each key one of keys."""
     kwargs = {}
-    keys = {
-        "size": "max_algebra_size",
-        "vars": "max_vars",
-        "pairs": "max_gc_pairs",
-        "seconds": "deadline_seconds",
-    }
     for part in filter(None, (text or "").split(",")):
         if "=" not in part:
             raise UsageError(f"bad bounds entry {part!r} (want key=value)")
@@ -325,7 +329,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    bounds = _parse_bounds(args.bounds)
+    bounds = _parse_bounds(args.bounds, _SEARCH_BOUNDS)
     laws = args.laws.split(",") if args.laws else list(search.H2GC_FS_LAWS)
     verdict = search.find_algebra_countermodel(args.formula, bounds, laws)
     doc = formats.verdict_json(verdict)
@@ -343,7 +347,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    bounds = _parse_bounds(args.bounds)
+    bounds = _parse_bounds(args.bounds, _EQUIV_BOUNDS)
     verdict = search.test_law_equivalence(
         args.laws_a.split(","),
         args.laws_b.split(","),
@@ -462,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--laws-a", required=True)
     p.add_argument("--laws-b", required=True)
     p.add_argument("--direction", choices=("forward", "backward", "either"), default="either")
-    p.add_argument("--bounds")
+    p.add_argument("--bounds", help="size=5,pairs=N,seconds=300")
 
     p = cmd("fixtures", _cmd_fixtures, "check the bundled derivations and list them")
     p.add_argument("--system", help="only list proofs in this system")

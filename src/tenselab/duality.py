@@ -68,15 +68,7 @@ def prime_filters(base: HeytingAlgebra) -> tuple[int, ...]:
     strictly below it is not a itself.
     """
     ups = base.poset().up_masks()
-    n = base.n
-    return tuple(
-        sorted(
-            ups[a]
-            for a in range(n)
-            if a != base.bottom
-            and base.join_all(b for b in range(n) if b != a and base.leq[b, a]) != a
-        )
-    )
+    return tuple(sorted(ups[a] for a in base.join_irreducibles()))
 
 
 def _inverse_image_mask(table: np.ndarray, filter_mask: int) -> int:

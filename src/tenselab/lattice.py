@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -184,6 +184,16 @@ class HeytingAlgebra:
             out = int(self.meet[out, a])
         return out
 
+    def join_irreducibles(self) -> tuple[int, ...]:
+        """Ascending elements that are not bottom and not the join of
+        everything strictly below them."""
+        return tuple(
+            a
+            for a in range(self.n)
+            if a != self.bottom
+            and self.join_all(b for b in range(self.n) if b != a and self.leq[b, a]) != a
+        )
+
     def poset(self) -> Poset:
         return Poset(self.names, self.leq)
 
@@ -245,30 +255,40 @@ def from_order(
             join[a, b] = join[b, a] = lub[0]
             meet[a, b] = meet[b, a] = glb[0]
 
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
-                    raise NotDistributive((names[x], names[y], names[z]))
+    # axes (x, y, z): x & (y | z) against (x & y) | (x & z)
+    at = _first_true(meet[:, join] != join[meet[:, :, None], meet[:, None, :]])
+    if at is not None:
+        raise NotDistributive(tuple(names[i] for i in at))
 
-    imp = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            r = bottom
-            for z in range(n):
-                if leq[meet[z, a], b]:
-                    r = join[r, z]
-            imp[a, b] = r
+    # imp(a, b) is the join of every z with z & a <= b
+    imp = np.full((n, n), bottom, dtype=np.int64)
+    for z in range(n):
+        imp = np.where(leq[meet[z]], join[imp, z], imp)
     # residuation is guaranteed by distributivity; verify anyway
-    for a in range(n):
-        for b in range(n):
-            for z in range(n):
-                if bool(leq[meet[z, a], b]) != bool(leq[z, imp[a, b]]):
-                    raise OrderError(
-                        f"residuation broken at {(names[z], names[a], names[b])}"
-                    )
+    _check_residuation(names, leq, meet, imp)
 
     return HeytingAlgebra(names, leq, join, meet, imp, bottom, top, name=name)
+
+
+def _check_residuation(
+    names: tuple[str, ...], leq: np.ndarray, meet: np.ndarray, imp: np.ndarray
+) -> None:
+    """Raise OrderError at the first (a, b, z) where z & a <= b and
+    z <= imp(a, b) disagree."""
+    ar = np.arange(len(names))
+    # axes (a, b, z): z & a <= b  against  z <= imp(a, b)
+    lhs = leq[meet.T[:, None, :], ar[None, :, None]]
+    at = _first_true(lhs != leq[ar, imp[:, :, None]])
+    if at is not None:
+        a, b, z = at
+        raise OrderError(f"residuation broken at {(names[z], names[a], names[b])}")
+
+
+def _first_true(grid: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first true cell in row-major order, or None."""
+    if not grid.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(grid.argmax()), grid.shape))
 
 
 # ----------------------------------------------------------- enumeration

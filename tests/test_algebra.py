@@ -1,7 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenselab.algebra import (
     CORE_LAWS,
@@ -50,18 +53,93 @@ from util import random_formula
 
 
 def _brute_gc_pairs(base):
-    """All (f, g) with f(a) <= b iff a <= g(b), straight from the definition."""
+    """All (f, g) with f(a) <= b iff a <= g(b), straight from the definition.
+
+    Every unary f is tried, in table order; g(b) must be the c whose
+    down-set is exactly {a : f(a) <= b}.
+    """
     n = base.n
-    found = set()
-    for f in itertools.product(range(n), repeat=n):
-        for g in itertools.product(range(n), repeat=n):
-            if all(
-                bool(base.leq[f[a], b]) == bool(base.leq[a, g[b]])
-                for a in range(n)
-                for b in range(n)
-            ):
-                found.add((f, g))
-    return found
+    fs = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.int64)
+    g = np.full((len(fs), n), -1)
+    for b in range(n):
+        below_b = base.leq[fs, b]  # f(a) <= b, for every f and a
+        for c in range(n):
+            g[(below_b == base.leq[:, c]).all(axis=1), b] = c
+    keep = (g >= 0).all(axis=1)
+    return [(tuple(f), tuple(r)) for f, r in zip(fs[keep].tolist(), g[keep].tolist())]
+
+
+def _scalar_laws(alg):
+    """Each law's first failing (args, lhs, rhs), or None when it holds.
+
+    Plain loops over the README law table, arguments in row-major
+    order; the two Galois laws compare truth values, given as 0 or 1.
+    """
+    base = alg.base
+    n, bot, top = base.n, base.bottom, base.top
+    dia, box, bdia, bbox = (tuple(int(v) for v in t) for t in (alg.dia, alg.box, alg.bdia, alg.bbox))
+
+    def leq(a, b):
+        return bool(base.leq[a, b])
+
+    def join(a, b):
+        return int(base.join[a, b])
+
+    def meet(a, b):
+        return int(base.meet[a, b])
+
+    def imp(a, b):
+        return int(base.imp[a, b])
+
+    one = [(x,) for x in range(n)]
+    two = [(x, y) for x in range(n) for y in range(n)]
+    table = {
+        "gc_dia_bbox": ("iff", two, lambda x, y: (leq(dia[x], y), leq(x, bbox[y]))),
+        "gc_bdia_box": ("iff", two, lambda x, y: (leq(bdia[x], y), leq(x, box[y]))),
+        "additive_dia": ("eq", two, lambda x, y: (dia[join(x, y)], join(dia[x], dia[y]))),
+        "normal_dia": ("eq", [()], lambda: (dia[bot], bot)),
+        "additive_bdia": ("eq", two, lambda x, y: (bdia[join(x, y)], join(bdia[x], bdia[y]))),
+        "normal_bdia": ("eq", [()], lambda: (bdia[bot], bot)),
+        "multiplicative_box": ("eq", two, lambda x, y: (box[meet(x, y)], meet(box[x], box[y]))),
+        "conormal_box": ("eq", [()], lambda: (box[top], top)),
+        "multiplicative_bbox": ("eq", two, lambda x, y: (bbox[meet(x, y)], meet(bbox[x], bbox[y]))),
+        "conormal_bbox": ("eq", [()], lambda: (bbox[top], top)),
+        "br1": ("leq", one, lambda x: (x, bbox[dia[x]])),
+        "br2": ("leq", one, lambda x: (dia[bbox[x]], x)),
+        "br3": ("leq", one, lambda x: (x, box[bdia[x]])),
+        "br4": ("leq", one, lambda x: (bdia[box[x]], x)),
+        "fs1": ("leq", two, lambda x, y: (dia[imp(x, y)], imp(box[x], dia[y]))),
+        "fs2": ("leq", two, lambda x, y: (imp(dia[x], box[y]), box[imp(x, y)])),
+        "fs3": ("leq", two, lambda x, y: (bdia[imp(x, y)], imp(bbox[x], bdia[y]))),
+        "fs4": ("leq", two, lambda x, y: (imp(bdia[x], bbox[y]), bbox[imp(x, y)])),
+        "d1": ("leq", two, lambda x, y: (meet(dia[x], box[y]), dia[meet(x, y)])),
+        "d2": ("leq", two, lambda x, y: (meet(bdia[x], bbox[y]), bdia[meet(x, y)])),
+        "dunn2_dia": ("leq", two, lambda x, y: (box[join(x, y)], join(box[x], dia[y]))),
+        "dunn2_bdia": ("leq", two, lambda x, y: (bbox[join(x, y)], join(bbox[x], bdia[y]))),
+    }
+    out = {}
+    for name, (mode, domain, sides) in table.items():
+        out[name] = None
+        for args in domain:
+            lhs, rhs = sides(*args)
+            if not (leq(lhs, rhs) if mode == "leq" else lhs == rhs):
+                out[name] = (args, int(lhs), int(rhs))
+                break
+    return out
+
+
+def _graded(report):
+    """A law report in the scalar checker's terms, Python ints checked."""
+    out = {}
+    for name, check in report.verdicts.items():
+        w = check.witness
+        assert check.holds == (w is None)
+        if w is not None:
+            assert all(type(v) is int for v in (*w.args, w.lhs, w.rhs)), name
+            w = (w.args, w.lhs, w.rhs)
+        out[name] = w
+    assert list(out) == list(LAW_NAMES)
+    return out
 
 
 def _eval_ref(alg, env, f):
@@ -90,12 +168,14 @@ def _eval_ref(alg, env, f):
 
 
 class TestGaloisPairs:
+    # the max_gc_pairs cap keeps a prefix of this list, so order counts
     @pytest.mark.parametrize(
-        "base", [chain(2), chain(3), chain(4), diamond()], ids=lambda b: b.name or "d"
+        "base",
+        [chain(2), chain(3), chain(4), diamond(), *enumerate_heyting(6)],
+        ids=lambda b: b.name,
     )
     def test_pairs_match_brute_force(self, base):
-        got = set(enumerate_gc_pairs(base))
-        assert got == _brute_gc_pairs(base)
+        assert enumerate_gc_pairs(base) == _brute_gc_pairs(base)
 
     def test_pair_counts(self):
         expected = {
@@ -153,6 +233,31 @@ class TestAttachOps:
             alg = identity_expansion(base)
             assert alg.laws.failures() == ()
             assert alg.laws.all_green and alg.laws.h2gc_green
+
+
+_BASES_UPTO4 = list(enumerate_heyting(4))
+
+
+class TestGrader:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_checker(self, data):
+        # random tables, each uniform or one side of a Galois pair, so
+        # every law both holds and fails across the examples
+        base = data.draw(st.sampled_from(_BASES_UPTO4), label="base")
+        pairs = enumerate_gc_pairs(base)
+        tables = []
+        for side in (0, 1, 0, 1):  # dia, box, bdia, bbox
+            uniform = st.lists(st.integers(0, base.n - 1), min_size=base.n, max_size=base.n)
+            from_pair = st.sampled_from([pair[side] for pair in pairs])
+            tables.append(data.draw(st.one_of(uniform, from_pair)))
+        alg = attach_ops(base, *tables)
+        assert _graded(alg.laws) == _scalar_laws(alg)
+
+    def test_stream_matches_attach_ops(self):
+        for alg in enumerate_op_combos(4):
+            alone = attach_ops(alg.base, alg.dia, alg.box, alg.bdia, alg.bbox)
+            assert _graded(alg.laws) == _graded(alone.laws) == _scalar_laws(alg)
 
 
 class TestLawVocabulary:
@@ -305,6 +410,21 @@ class TestEnumeration:
 
     def test_full_combo_count(self, op_combos_upto5):
         assert len(op_combos_upto5) == 10597
+
+    def test_size6_sweep(self):
+        # the connecting-law collapse on every combo up to 6 elements
+        per_base = Counter()
+        green = 0
+        for alg in enumerate_op_combos(6):
+            per_base[alg.base.name] += 1
+            green += alg.laws.all_green
+            v = alg.laws.verdicts
+            assert v["fs1"].holds == v["d1"].holds == v["fs4"].holds, alg.base.name
+            assert v["fs2"].holds == v["d2"].holds == v["fs3"].holds, alg.base.name
+        bases = list(enumerate_heyting(6))
+        assert per_base == {b.name: len(enumerate_gc_pairs(b)) ** 2 for b in bases}
+        assert sum(per_base.values()) == 173157
+        assert green == 9581
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_capped_stream_keeps_first_pairs(self, k):

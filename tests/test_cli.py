@@ -471,6 +471,16 @@ class TestEquiv:
         assert w["satisfied"] == ["dunn2_dia"]
         assert (w["violated"], w["direction"]) == ("d1", "forward")
 
+    def test_vars_bound_rejected(self, capsys):
+        # equiv compares law sets and has no formula for vars to bound
+        code, out, err = run(
+            capsys, "equiv", "--laws-a", "fs1", "--laws-b", "dunn2_dia",
+            "--bounds", "size=3,vars=1",
+        )
+        assert code == cli.USAGE
+        assert out == ""
+        assert err.startswith("error: unknown bounds key 'vars' (want size/pairs/seconds)")
+
     def test_bad_direction_is_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["equiv", "--laws-a", "fs1", "--laws-b", "d1",

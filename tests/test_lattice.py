@@ -22,6 +22,7 @@ from tenselab.lattice import (
     transitive_closure,
     up_sets,
 )
+from tenselab.lattice import _check_residuation
 
 # ------------------------------------------------------------------ oracles
 
@@ -162,19 +163,58 @@ class TestFromOrder:
                 + [("c", "1"), ("d", "1")],
             )
 
+    # the witness is the first failing (x, y, z) of
+    # x & (y | z) = (x & y) | (x & z) in carrier order, so relabeling
+    # the carrier moves it
     def test_m3_not_distributive(self):
-        with pytest.raises(NotDistributive):
-            from_order(
-                "0xyz1",
-                [("0", v) for v in "xyz"] + [(v, "1") for v in "xyz"],
-            )
+        pairs = [("0", v) for v in "xyz"] + [(v, "1") for v in "xyz"]
+        for names, witness in (("0xyz1", ("x", "y", "z")), ("zyx10", ("z", "y", "x"))):
+            with pytest.raises(NotDistributive) as err:
+                from_order(names, pairs)
+            assert err.value.witness == witness
 
     def test_n5_not_distributive(self):
-        with pytest.raises(NotDistributive):
-            from_order(
-                "0abc1",
-                [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
-            )
+        pairs = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]
+        for names, witness in (("0abc1", ("b", "a", "c")), ("1cba0", ("b", "c", "a"))):
+            with pytest.raises(NotDistributive) as err:
+                from_order(names, pairs)
+            assert err.value.witness == witness
+
+    def test_residuation_witness(self):
+        # chain3 with every implication sent to bottom: the first (a, b, z)
+        # in loop order where z & a <= b and z <= imp(a, b) disagree is
+        # a = b = 0, z = m, reported as (z, a, b)
+        alg = chain(3)
+        wrong = np.zeros((3, 3), dtype=np.int64)
+        with pytest.raises(OrderError, match=r"residuation broken at \('m', '0', '0'\)"):
+            _check_residuation(alg.names, alg.leq, alg.meet, wrong)
+
+    def test_residuation_check_matches_loop(self):
+        # the first failure against a plain (a, b, z) loop, on tables
+        # with one implication entry changed
+        rng = np.random.default_rng(7)
+        for alg in enumerate_heyting(5):
+            n = alg.n
+            _check_residuation(alg.names, alg.leq, alg.meet, alg.imp)
+            for _ in range(5):
+                imp = alg.imp.copy()
+                imp[rng.integers(n), rng.integers(n)] = rng.integers(n)
+                want = next(
+                    (
+                        (alg.names[z], alg.names[a], alg.names[b])
+                        for a in range(n)
+                        for b in range(n)
+                        for z in range(n)
+                        if bool(alg.leq[alg.meet[z, a], b]) != bool(alg.leq[z, imp[a, b]])
+                    ),
+                    None,
+                )
+                if want is None:
+                    _check_residuation(alg.names, alg.leq, alg.meet, imp)
+                    continue
+                with pytest.raises(OrderError) as err:
+                    _check_residuation(alg.names, alg.leq, alg.meet, imp)
+                assert str(err.value) == f"residuation broken at {want}"
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(OrderError):
