@@ -173,26 +173,6 @@ def check_ik_frame(frame: Frame) -> IKFrameReport:
     )
 
 
-def is_intgc_relation(leq: np.ndarray, s: np.ndarray) -> bool:
-    """(>= ; s ; >=) subseteq s, the stability law of one-relation frames."""
-    geq = leq.T
-    return not (compose(compose(geq, s), geq) & ~s).any()
-
-
-def ik_via_stability(frame: Frame) -> bool:
-    """Equivalent formulation of the IK conditions.
-
-    The frame is IK iff both derived relations R;>= and (R;>=)^-1 read
-    against the order are stable: (>=;(R;>=);>=) subseteq R;>= and the
-    same for (<=;R) transposed.  Used as a cross-check on
-    check_ik_frame.
-    """
-    geq = frame.leq.T
-    s1 = compose(frame.r, geq)
-    s2 = compose(frame.leq, frame.r).T
-    return is_intgc_relation(frame.leq, s1) and is_intgc_relation(frame.leq, s2)
-
-
 # ------------------------------------------------------------------ models
 
 

@@ -78,10 +78,6 @@ class Poset:
         except ValueError:
             raise KeyError(f"unknown element {name!r}") from None
 
-    def up_mask(self, i: int) -> int:
-        """Bitmask of the principal up-set of element i."""
-        return self.up_masks()[i]
-
     def up_masks(self) -> tuple[int, ...]:
         return mask_rows(self.leq)
 
@@ -92,14 +88,6 @@ class Poset:
 def mask_rows(rel: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is rel[i, j]."""
     return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in rel.tolist())
-
-
-def is_up_set(poset: Poset, mask: int) -> bool:
-    closure = 0
-    for i in range(poset.n):
-        if mask >> i & 1:
-            closure |= poset.up_mask(i)
-    return closure == mask
 
 
 def up_sets(poset: Poset) -> tuple[int, ...]:
@@ -118,15 +106,6 @@ def up_sets(poset: Poset) -> tuple[int, ...]:
         if closure == mask:
             out.append(mask)
     return tuple(out)
-
-
-def interior(poset: Poset, mask: int) -> int:
-    """Largest up-set contained in the given subset."""
-    out = 0
-    for i in range(poset.n):
-        if poset.up_mask(i) & ~mask == 0:
-            out |= 1 << i
-    return out
 
 
 # ------------------------------------------------------------ Heyting core
@@ -240,20 +219,16 @@ def from_order(
         raise NoBounds("top")
     bottom, top = bottoms[0], tops[0]
 
-    join = np.zeros((n, n), dtype=np.int64)
-    meet = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(a, n):
-            ups = np.flatnonzero(leq[a] & leq[b])
-            lub = [u for u in ups if leq[u, ups].all()]
-            if len(lub) != 1:
-                raise NotALattice("least upper bound", (names[a], names[b]))
-            lows = np.flatnonzero(leq[:, a] & leq[:, b])
-            glb = [l for l in lows if leq[lows, l].all()]
-            if len(glb) != 1:
-                raise NotALattice("greatest lower bound", (names[a], names[b]))
-            join[a, b] = join[b, a] = lub[0]
-            meet[a, b] = meet[b, a] = glb[0]
+    geq = leq.T
+    join, no_join = _least(leq[:, None, :] & leq[None, :, :], leq)
+    meet, no_meet = _least(geq[:, None, :] & geq[None, :, :], geq)
+    # the first pair (a, b) with index a <= b, in row-major order, that
+    # lacks a bound; a missing join is reported before a missing meet
+    at = _first_true(np.triu(no_join | no_meet))
+    if at is not None:
+        a, b = at
+        kind = "least upper bound" if no_join[a, b] else "greatest lower bound"
+        raise NotALattice(kind, (names[a], names[b]))
 
     # axes (x, y, z): x & (y | z) against (x & y) | (x & z)
     at = _first_true(meet[:, join] != join[meet[:, :, None], meet[:, None, :]])
@@ -268,6 +243,17 @@ def from_order(
     _check_residuation(names, leq, meet, imp)
 
     return HeytingAlgebra(names, leq, join, meet, imp, bottom, top, name=name)
+
+
+def _least(bound: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least u in order with bound[a, b, u], per (a, b), and where there is none.
+
+    u is least when the whole row bound[a, b] lies above it, i.e. it
+    meets u's up-set in as many cells as it has.
+    """
+    hits = bound.astype(np.int64) @ order.T.astype(np.int64)
+    least = bound & (hits == bound.sum(axis=2, keepdims=True))
+    return least.argmax(axis=2), ~least.any(axis=2)
 
 
 def _check_residuation(
@@ -294,54 +280,6 @@ def _first_true(grid: np.ndarray) -> Optional[tuple[int, ...]]:
 # ----------------------------------------------------------- enumeration
 
 MAX_ENUM_SIZE = 7
-
-
-def _closure_rows(rows: tuple[int, ...]) -> bool:
-    """True when the row-bitmask relation is transitive."""
-    n = len(rows)
-    for i in range(n):
-        acc = rows[i]
-        rest = acc
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if rows[j] & ~acc:
-                return False
-    return True
-
-
-def _is_bounded_distributive_lattice(rows: tuple[int, ...]) -> bool:
-    n = len(rows)
-    cols = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if rows[i] >> j & 1:
-                cols[j] |= 1 << i
-    full = (1 << n) - 1
-    if not any(rows[i] == full for i in range(n)):
-        return False
-    if not any(cols[j] == full for j in range(n)):
-        return False
-    join = [[-1] * n for _ in range(n)]
-    meet = [[-1] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ups = rows[a] & rows[b]
-            lub = [u for u in range(n) if ups >> u & 1 and ups & ~rows[u] == 0]
-            if len(lub) != 1:
-                return False
-            lows = cols[a] & cols[b]
-            glb = [l for l in range(n) if lows >> l & 1 and lows & ~cols[l] == 0]
-            if len(glb) != 1:
-                return False
-            join[a][b] = lub[0]
-            meet[a][b] = glb[0]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False
-    return True
 
 
 def relabelings(*relations: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -372,26 +310,34 @@ def canonical_code(*relations: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical leq row-masks of all bounded distributive lattices on n."""
-    if n == 1:
-        return ((1,),)
-    mid = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
-    found: set[tuple[int, ...]] = set()
-    # element 0 forced bottom, n-1 forced top; free bits sit between them
-    base = [1 << i | 1 << (n - 1) for i in range(n)]
-    base[0] = (1 << n) - 1
-    base[n - 1] = 1 << (n - 1)
-    for bits in range(1 << len(mid)):
-        rows = list(base)
-        for k, (i, j) in enumerate(mid):
-            if bits >> k & 1:
-                rows[i] |= 1 << j
-        rows_t = tuple(rows)
-        if not _closure_rows(rows_t):
-            continue
-        if not _is_bounded_distributive_lattice(rows_t):
-            continue
-        found.add(canonical_code(rows_t)[0])
+    """Canonical leq row-masks of all bounded distributive lattices on n.
+
+    By Birkhoff each one is the lattice of down-sets of its poset of
+    join-irreducibles, and that poset is unique up to isomorphism.  The
+    posets, kept as the row masks of >= (row i is the down-set of i),
+    grow one maximal point at a time: the new point's strict down-set is
+    any down-set d of the smaller poset, and it adds one down-set for
+    each old down-set holding d.  A poset that would get more than n
+    down-sets is pruned, since growing it never removes any.
+    """
+    found = set()
+    posets = {()}
+    while posets:
+        grown = set()
+        for geq in posets:
+            k = len(geq)
+            rel = np.array([[r >> j & 1 for j in range(k)] for r in geq], dtype=bool)
+            downs = up_sets(Poset(tuple(map(str, range(k))), rel.reshape(k, k)))
+            if len(downs) == n:
+                rows = tuple(
+                    sum(1 << j for j, v in enumerate(downs) if u & ~v == 0) for u in downs
+                )
+                found.add(canonical_code(rows)[0])
+                continue
+            for d in downs:
+                if len(downs) + sum(d & ~e == 0 for e in downs) <= n:
+                    grown.add(canonical_code(geq + (d | 1 << k,))[0])
+        posets = grown
     return tuple(sorted(found))
 
 

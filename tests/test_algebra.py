@@ -31,6 +31,7 @@ from tenselab.algebra import (
     valuation_names,
 )
 from tenselab.lattice import chain, diamond, diamond_with_top, enumerate_heyting
+from tenselab.search import _eval_direct
 from tenselab.syntax import (
     And,
     BBox,
@@ -307,6 +308,17 @@ class TestLawVocabulary:
             assert not base.leq[w.lhs, w.rhs]
 
 
+_BASES_UPTO5 = list(enumerate_heyting(5))
+_PROP_FORMULAS = st.recursive(
+    st.sampled_from([Top(), Bot(), Var("p"), Var("q"), Var("r")]),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Imp, Iff]), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
 class TestEvaluate:
     def test_matches_reference_evaluator(self):
         rng = random.Random(20240818)
@@ -320,6 +332,13 @@ class TestEvaluate:
             f = random_formula(rng, depth=4)
             env = {v: rng.randrange(alg.n) for v in ("p", "q", "r")}
             assert evaluate(alg, env, f) == _eval_ref(alg, env, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PROP_FORMULAS, st.data())
+    def test_matches_table_walk_on_every_size5_base(self, f, data):
+        for base in _BASES_UPTO5:
+            env = {v: data.draw(st.integers(0, base.n - 1), label=v) for v in "pqr"}
+            assert evaluate(base, env, f) == _eval_direct(base, env, f), base.name
 
     def test_accepts_names_and_text(self):
         alg = chain(3)

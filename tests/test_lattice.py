@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,18 +12,17 @@ from tenselab.lattice import (
     NotDistributive,
     OrderError,
     Poset,
+    canonical_code,
     chain,
     diamond,
     diamond_with_bottom,
     diamond_with_top,
     enumerate_heyting,
     from_order,
-    interior,
-    is_up_set,
     transitive_closure,
     up_sets,
 )
-from tenselab.lattice import _check_residuation
+from tenselab.lattice import _check_residuation, _iso_classes
 
 # ------------------------------------------------------------------ oracles
 
@@ -79,6 +79,28 @@ def _is_heyting_order(n, leq) -> bool:
     return True
 
 
+def _bit_scan_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical leq row-masks of the bounded distributive lattices on n.
+
+    Scans every order with 0 at the bottom, n-1 at the top and i <= j
+    only when i < j (every finite poset has a linear extension), keeps
+    those _is_heyting_order accepts and sorts their canonical codes.
+    """
+    if n == 1:
+        return ((1,),)
+    mid = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    found = set()
+    for bits in range(1 << len(mid)):
+        rows = [1 << i | 1 << (n - 1) for i in range(n)]
+        rows[0] = (1 << n) - 1
+        for k, (i, j) in enumerate(mid):
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+        if _is_heyting_order(n, [[bool(r >> j & 1) for j in range(n)] for r in rows]):
+            found.add(canonical_code(tuple(rows))[0])
+    return tuple(sorted(found))
+
+
 class TestEnumeration:
     # sizes 1..7, one bounded distributive lattice per line of the
     # Fibonacci-looking sequence; cross-checked below by brute force
@@ -88,6 +110,11 @@ class TestEnumeration:
     def test_labeled_count_matches_brute_force(self, n):
         got = sum(1 for a in enumerate_heyting(n, up_to_iso=False) if a.n == n)
         assert got == _brute_force_labeled_count(n)
+
+    # the codes and their order fix every ha{n}_{k} name
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_iso_classes_match_bit_scan(self, n):
+        assert _iso_classes(n) == _bit_scan_classes(n)
 
     def test_iso_class_counts(self):
         algs = list(enumerate_heyting(7))
@@ -216,6 +243,52 @@ class TestFromOrder:
                     _check_residuation(alg.names, alg.leq, alg.meet, imp)
                 assert str(err.value) == f"residuation broken at {want}"
 
+    def test_bound_tables_match_loop(self):
+        # join/meet tables, and the first pair without a bound, against a
+        # plain loop over (a, b) with a <= b that checks the least upper
+        # bound before the greatest lower bound; random bounded orders,
+        # half of them turned upside down, relabeled so that carrier
+        # order is no linear extension
+        rng = np.random.default_rng(11)
+        kinds = Counter()
+        for _ in range(400):
+            n = int(rng.integers(6, 10))
+            rel = np.triu(rng.random((n, n)) < 0.5)
+            rel[0, :] = rel[:, n - 1] = True
+            if rng.random() < 0.5:
+                rel = rel.T
+            perm = rng.permutation(n)
+            leq = np.zeros((n, n), dtype=bool)
+            leq[np.ix_(perm, perm)] = rel
+            names = tuple(f"x{i}" for i in range(n))
+            pairs = [(names[a], names[b]) for a, b in np.argwhere(leq)]
+            want = _loop_bounds(transitive_closure(leq).tolist())
+            if isinstance(want, tuple):
+                kind, (a, b) = want
+                kinds[kind] += 1
+                with pytest.raises(NotALattice) as err:
+                    from_order(names, pairs)
+                assert (err.value.kind, err.value.witness) == (kind, (names[a], names[b]))
+                continue
+            kinds["lattice"] += 1
+            try:
+                alg = from_order(names, pairs)
+            except NotDistributive:
+                continue
+            assert alg.join.tolist() == want["join"]
+            assert alg.meet.tolist() == want["meet"]
+        assert min(kinds.values()) >= 20 and len(kinds) == 3
+
+    def test_pair_lacking_both_bounds_reports_join(self):
+        # 0 < p,q < x,y < r,s < 1: x and y have two minimal upper bounds
+        # and two maximal lower bounds, and (x, y) is the first pair checked
+        pairs = [("0", "p"), ("0", "q"), ("r", "1"), ("s", "1")]
+        pairs += [(lo, mid) for lo in "pq" for mid in "xy"]
+        pairs += [(mid, hi) for mid in "xy" for hi in "rs"]
+        with pytest.raises(NotALattice) as err:
+            from_order("xy0pqrs1", pairs)
+        assert (err.value.kind, err.value.witness) == ("least upper bound", ("x", "y"))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(OrderError):
             from_order(("x", "x"), [])
@@ -232,6 +305,26 @@ class TestFromOrder:
         assert alg.meet_all([a, b]) == alg.bottom
         assert alg.join_all([]) == alg.bottom
         assert alg.meet_all([]) == alg.top
+
+
+def _loop_bounds(leq):
+    """Join and meet tables, or (kind, (a, b)) at the first pair lacking one."""
+    n = len(leq)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            ups = [u for u in range(n) if leq[a][u] and leq[b][u]]
+            lub = [u for u in ups if all(leq[u][v] for v in ups)]
+            if not lub:
+                return "least upper bound", (a, b)
+            lows = [d for d in range(n) if leq[d][a] and leq[d][b]]
+            glb = [d for d in lows if all(leq[e][d] for e in lows)]
+            if not glb:
+                return "greatest lower bound", (a, b)
+            join[a][b] = join[b][a] = lub[0]
+            meet[a][b] = meet[b][a] = glb[0]
+    return {"join": join, "meet": meet}
 
 
 class TestStock:
@@ -272,22 +365,6 @@ class TestUpSets:
                 m for m in range(1 << alg.n) if _upward_closed(poset, m)
             ]
             assert list(up_sets(poset)) == expected
-
-    def test_is_up_set(self):
-        poset = chain(3).poset()
-        assert is_up_set(poset, 0b110)
-        assert not is_up_set(poset, 0b011)
-
-    def test_interior_is_largest_up_set_inside(self):
-        for alg in enumerate_heyting(4):
-            poset = alg.poset()
-            ups = up_sets(poset)
-            for mask in range(1 << alg.n):
-                best = 0
-                for u in ups:
-                    if u & ~mask == 0:
-                        best |= u
-                assert interior(poset, mask) == best
 
     def test_cap(self):
         with pytest.raises(OrderError):
