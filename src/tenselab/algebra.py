@@ -503,6 +503,28 @@ def evaluate(
 
 
 DEFAULT_VAR_CAP = 4
+# Columns per valuation block: one block covers every grid of a 5-element
+# algebra (5^4) and of a 3-world frame (8^4), and bounds the memory of
+# larger ones.
+VALUATION_BLOCK = 4096
+
+
+def valuation_blocks(choices: int, k: int) -> Iterator[np.ndarray]:
+    """All choices**k valuations of k variables, VALUATION_BLOCK at a time.
+
+    Each block is a (k, columns) array of choice indices, one row per
+    variable.  Columns run in itertools.product order (the last variable
+    varies fastest), so the first bad column of the first bad block is
+    the lexicographically first valuation.  With k = 0 there is one
+    block of one empty column.
+    """
+    total = choices**k
+    # past int64, the digits of a column number are taken with Python ints
+    dtype = np.int64 if total < 1 << 62 else object
+    weights = np.array([choices**e for e in range(k - 1, -1, -1)], dtype=dtype)[:, None]
+    for start in range(0, total, VALUATION_BLOCK):
+        cols = np.arange(start, min(start + VALUATION_BLOCK, total), dtype=dtype)
+        yield (cols // weights % choices).astype(np.int64, copy=False)
 
 
 def algebra_validity(
@@ -521,17 +543,12 @@ def algebra_validity(
     names = variables_of(formula)
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
-    n = base.n
-    k = len(names)
-    size = n**k
-    grids = np.indices((n,) * k, dtype=np.int64).reshape(k, size) if k else None
-    env = {v: grids[i] for i, v in enumerate(names)} if k else {}
-    values = _eval(alg, env, formula, size)
-    bad = values != base.top
-    if not bad.any():
-        return None
-    first = int(np.argmax(bad))
-    return {v: int(grids[i][first]) for i, v in enumerate(names)}
+    for grid in valuation_blocks(base.n, len(names)):
+        bad = _eval(alg, dict(zip(names, grid)), formula, grid.shape[1]) != base.top
+        if bad.any():
+            first = int(np.argmax(bad))
+            return {v: int(grid[i, first]) for i, v in enumerate(names)}
+    return None
 
 
 def valuation_names(

@@ -14,8 +14,13 @@ An IK frame satisfies the two confluence conditions
 
     (R ; <=) subseteq (<= ; R)      (>= ; R) subseteq (R ; >=)
 
-which make all truth sets up-closed (persistence).  Truth sets are
-represented as int bitmasks over world indices.
+which make all truth sets up-closed (persistence).
+
+A formula is evaluated for a whole block of valuations at once: its
+truth sets form a bool matrix with one row per valuation and one column
+per world, and each connective is one array operation on the relations
+above.  The public results (truth_set, Model.val) are int bitmasks over
+world indices.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .syntax import (
     parse_formula,
     variables_of,
 )
-from .algebra import CapExceeded, UnboundVariable
+from .algebra import CapExceeded, UnboundVariable, valuation_blocks
 
 
 class FrameError(ValueError):
@@ -100,11 +105,8 @@ class Frame:
         self.r_up = compose(r, geq)        # for F (rows) and H (columns)
         self.leq_r = compose(leq, r)       # for G (rows) and P (columns)
         self.up_rows = mask_rows(leq)      # up-set of each world
-        self.f_rows = mask_rows(self.r_up)
         self.g_rows = mask_rows(self.leq_r)
-        self.p_cols = mask_rows(self.leq_r.T)
         self.h_cols = mask_rows(self.r_up.T)
-        self.full = (1 << n) - 1
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -196,47 +198,50 @@ class Model:
         return f"Model({self.frame!r}, vars={sorted(self.val)})"
 
 
-def _truth(frame: Frame, val: Mapping[str, int], f: Formula) -> int:
-    n, full = frame.n, frame.full
+def _some(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """Column x of row v is set iff rel[x, y] and a[v, y] for some world y.
+
+    A bool matmul: an integer one would wrap (uint8 at 256 worlds).
+    """
+    return a @ rel.T
+
+
+def _truths(frame: Frame, env: Mapping[str, np.ndarray], f: Formula, rows: int) -> np.ndarray:
+    """Truth sets of f as a (rows, worlds) bool matrix, one row per
+    valuation; env maps each variable to its own such matrix."""
     if isinstance(f, Var):
         try:
-            return val[f.name]
+            return env[f.name]
         except KeyError:
             raise UnboundVariable(f.name) from None
     if isinstance(f, MetaVar):
         raise FrameError(f"metavariable {f.name!r} has no truth set")
     if isinstance(f, Top):
-        return full
+        return np.ones((rows, frame.n), dtype=bool)
     if isinstance(f, Bot):
-        return 0
+        return np.zeros((rows, frame.n), dtype=bool)
     if isinstance(f, Not):
-        a = _truth(frame, val, f.child)
-        return sum(1 << x for x in range(n) if not (frame.up_rows[x] & a))
+        return ~_some(_truths(frame, env, f.child, rows), frame.leq)
     if isinstance(f, And):
-        return _truth(frame, val, f.left) & _truth(frame, val, f.right)
+        return _truths(frame, env, f.left, rows) & _truths(frame, env, f.right, rows)
     if isinstance(f, Or):
-        return _truth(frame, val, f.left) | _truth(frame, val, f.right)
+        return _truths(frame, env, f.left, rows) | _truths(frame, env, f.right, rows)
     if isinstance(f, Imp):
-        a = _truth(frame, val, f.left)
-        b = _truth(frame, val, f.right)
-        return sum(1 << x for x in range(n) if not (frame.up_rows[x] & a & ~b))
+        a = _truths(frame, env, f.left, rows)
+        b = _truths(frame, env, f.right, rows)
+        return ~_some(a & ~b, frame.leq)
     if isinstance(f, Iff):
-        a = _truth(frame, val, f.left)
-        b = _truth(frame, val, f.right)
-        diff = a ^ b
-        return sum(1 << x for x in range(n) if not (frame.up_rows[x] & diff))
+        a = _truths(frame, env, f.left, rows)
+        b = _truths(frame, env, f.right, rows)
+        return ~_some(a ^ b, frame.leq)
     if isinstance(f, Dia):
-        a = _truth(frame, val, f.child)
-        return sum(1 << x for x in range(n) if frame.f_rows[x] & a)
+        return _some(_truths(frame, env, f.child, rows), frame.r_up)
     if isinstance(f, Box):
-        a = _truth(frame, val, f.child)
-        return sum(1 << x for x in range(n) if not (frame.g_rows[x] & ~a))
+        return ~_some(~_truths(frame, env, f.child, rows), frame.leq_r)
     if isinstance(f, BDia):
-        a = _truth(frame, val, f.child)
-        return sum(1 << x for x in range(n) if frame.p_cols[x] & a)
+        return _some(_truths(frame, env, f.child, rows), frame.leq_r.T)
     if isinstance(f, BBox):
-        a = _truth(frame, val, f.child)
-        return sum(1 << x for x in range(n) if not (frame.h_cols[x] & ~a))
+        return ~_some(~_truths(frame, env, f.child, rows), frame.r_up.T)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -244,7 +249,12 @@ def truth_set(model: Model, formula: Union[Formula, str]) -> int:
     """Bitmask of worlds where the formula holds."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    return _truth(model.frame, model.val, formula)
+    frame = model.frame
+    env = {
+        v: np.array([[m >> x & 1 for x in range(frame.n)]], dtype=bool)
+        for v, m in model.val.items()
+    }
+    return sum(1 << int(x) for x in np.flatnonzero(_truths(frame, env, formula, 1)[0]))
 
 
 def truth_worlds(model: Model, formula: Union[Formula, str]) -> tuple[str, ...]:
@@ -278,17 +288,12 @@ def check_persistence(
         if isinstance(f, str):
             f = parse_formula(f)
         mask = truth_set(model, f)
-        done = False
         for x in range(frame.n):
-            if done:
-                break
-            if not (mask & (1 << x)):
-                continue
             missing = frame.up_rows[x] & ~mask
-            if missing:
+            if mask >> x & 1 and missing:
                 y = missing.bit_length() - 1
                 out.append(PersistenceViolation(f, frame.names[x], frame.names[y]))
-                done = True
+                break
     return tuple(out)
 
 
@@ -309,29 +314,31 @@ def frame_validity(
     """Check truth at all worlds under every up-closed valuation.
 
     Returns None when valid.  Valuations are swept in ascending bitmask
-    order per variable (variables sorted by name), so the reported
-    counterexample is deterministic.
+    order per variable (variables sorted by name), one block of them at
+    a time, so the reported counterexample is deterministic: the first
+    failing valuation and its lowest failing world.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
     names = variables_of(formula)
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
-    upsets = up_sets(frame.poset())
-    for combo in itertools.product(upsets, repeat=len(names)):
-        val = dict(zip(names, combo))
-        mask = _truth(frame, val, formula)
-        if mask != frame.full:
-            missing = ~mask & frame.full
-            x = (missing & -missing).bit_length() - 1
+    # up_sets stops at 20 worlds, so every mask fits in 32 bits
+    upsets = np.array(up_sets(frame.poset()), dtype=np.int32)
+    worlds = np.arange(frame.n, dtype=np.int32)
+    for grid in valuation_blocks(len(upsets), len(names)):
+        # (variable, valuation, world) bits of this block's up-sets
+        rows = (upsets[grid, None] >> worlds & 1).astype(bool)
+        truth = _truths(frame, dict(zip(names, rows)), formula, grid.shape[1])
+        valid = truth.all(axis=1)
+        if not valid.all():
+            first = int(np.argmin(valid))
             return FrameCounterexample(
                 valuation={
-                    v: tuple(
-                        frame.names[i] for i in range(frame.n) if combo[k] & (1 << i)
-                    )
+                    v: tuple(frame.names[x] for x in np.flatnonzero(rows[k, first]))
                     for k, v in enumerate(names)
                 },
-                world=frame.names[x],
+                world=frame.names[int(np.argmin(truth[first]))],
             )
     return None
 

@@ -72,17 +72,8 @@ class Poset:
     def n(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown element {name!r}") from None
-
     def up_masks(self) -> tuple[int, ...]:
         return mask_rows(self.leq)
-
-    def members(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in range(self.n) if mask >> i & 1)
 
 
 def mask_rows(rel: np.ndarray) -> tuple[int, ...]:

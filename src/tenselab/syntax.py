@@ -363,9 +363,21 @@ def iter_subformulas(f: Formula) -> Iterator[Formula]:
         yield from iter_subformulas(f.right)
 
 
+def _collect_variables(f: Formula, found: set[str]) -> None:
+    if isinstance(f, Var):
+        found.add(f.name)
+    elif isinstance(f, UNARY_KINDS):
+        _collect_variables(f.child, found)
+    elif isinstance(f, BINARY_KINDS):
+        _collect_variables(f.left, found)
+        _collect_variables(f.right, found)
+
+
 def variables_of(f: Formula) -> tuple[str, ...]:
     """Sorted names of the propositional variables occurring in f."""
-    return tuple(sorted({g.name for g in iter_subformulas(f) if isinstance(g, Var)}))
+    found: set[str] = set()
+    _collect_variables(f, found)
+    return tuple(sorted(found))
 
 
 def metavariables_of(f: Formula) -> tuple[str, ...]:

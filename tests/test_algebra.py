@@ -48,7 +48,7 @@ from tenselab.syntax import (
     parse_formula,
 )
 
-from util import random_formula
+from util import peak_allocation, random_formula
 
 # ---------------------------------------------------------------- oracles
 
@@ -370,6 +370,8 @@ class TestValidity:
         for p, q in itertools.product(range(3), repeat=2):
             if (p, q) < (1, 0):
                 assert evaluate(alg, {"p": p, "q": q}, f) == alg.top
+        # (0, 1) comes before (1, 0): the last variable runs fastest
+        assert algebra_validity(alg, "q <-> p") == {"p": 0, "q": 1}
 
     def test_countervaluation_actually_fails(self):
         alg = dunn_separating_algebra()
@@ -377,6 +379,25 @@ class TestValidity:
         got = algebra_validity(alg, text)
         assert got is not None
         assert evaluate(alg, got, text) != alg.base.top
+
+    def test_first_countervaluation_past_the_first_block(self):
+        # on the 16-chain the first (p, q, r, s) with all four nonzero is
+        # column 4,369 of the scan, in the second block of valuations
+        alg = chain(16)
+        got = algebra_validity(alg, "~ (p & q & r & s)")
+        assert got == {"p": 1, "q": 1, "r": 1, "s": 1}
+        assert evaluate(alg, got, "~ (p & q & r & s)") != alg.top
+
+    def test_peak_allocation_bounded_by_block(self):
+        # 64^3 valuations of a law that holds on chains: one block of
+        # them peaks under 1 MB, a single pass over all of them at 13 MB
+        alg = chain(64)
+        valid = []
+        peak = peak_allocation(
+            lambda: valid.append(algebra_validity(alg, "(p -> q) | (q -> p) | r") is None)
+        )
+        assert valid == [True]
+        assert peak < 2 << 20
 
     def test_var_cap(self):
         with pytest.raises(CapExceeded):

@@ -37,10 +37,11 @@ from tenselab.syntax import (
     Or,
     Top,
     Var,
+    iter_subformulas,
     parse_formula,
 )
 
-from util import random_formula
+from util import peak_allocation, random_formula
 
 # ---------------------------------------------------------------- oracles
 
@@ -128,6 +129,12 @@ def _sample_pool():
     frames += sample_frames(3, 6, seed=11, require_ik=False)
     frames += sample_frames(4, 4, seed=12)
     return frames
+
+
+def _six_cycle():
+    """Six discrete worlds (64 up-sets) with R a cycle."""
+    names = tuple(f"w{i}" for i in range(6))
+    return make_frame(names, [], [(a, b) for a, b in zip(names, names[1:] + names[:1])])
 
 
 class TestCompose:
@@ -232,6 +239,34 @@ class TestModels:
             for x in range(fr.n):
                 assert bool(mask >> x & 1) == _holds(fr, val_sets, x, f)
 
+    def test_truth_on_every_labeled_two_world_frame(self):
+        rng = random.Random(66)
+        for fr in enumerate_frames(2, require_ik=False, up_to_iso=False):
+            ups = up_sets(fr.poset())
+            for _ in range(8):
+                masks = {v: rng.choice(ups) for v in ("p", "q", "r")}
+                val_sets = {
+                    v: {i for i in range(fr.n) if m >> i & 1} for v, m in masks.items()
+                }
+                model = Model(fr, {v: sorted(s) for v, s in val_sets.items()})
+                f = random_formula(rng, depth=4)
+                mask = truth_set(model, f)
+                for x in range(fr.n):
+                    assert bool(mask >> x & 1) == _holds(fr, val_sets, x, f), (fr.name, f)
+
+    def test_no_wrap_at_256_worlds(self):
+        # 256 witnesses for F p at every world: an 8-bit count would read 0
+        n = 256
+        fr = Frame(
+            tuple(f"w{i}" for i in range(n)),
+            np.eye(n, dtype=bool),
+            np.ones((n, n), dtype=bool),
+        )
+        model = Model(fr, {"p": range(n)})
+        full = (1 << n) - 1
+        for text in ("F p", "P p", "G p", "H p", "~ ~ F p"):
+            assert truth_set(model, text) == full, text
+
     def test_truth_worlds_and_satisfies(self):
         fr = stock_frames()["two_chain_r_leq"]
         model = Model(fr, {"p": ["u"]})
@@ -289,34 +324,57 @@ class TestFrameValidity:
             assert frame_validity(fr, "P G p -> p") is None
 
     def test_against_brute_force(self):
+        """The report is the first failure in the documented order:
+        variables sorted by name, each running over the up-sets in
+        ascending bitmask order with the last one fastest, and the
+        lowest failing world of that valuation."""
         rng = random.Random(99)
         pool = _sample_pool()
+        outcomes = set()
         for _ in range(60):
             fr = rng.choice(pool)
             f = random_formula(rng, depth=3, vars=("p", "q"))
-            got = frame_validity(fr, f)
+            names = sorted({g.name for g in iter_subformulas(f) if isinstance(g, Var)})
             ups = up_sets(fr.poset())
-            bad = None
-            for pm, qm in itertools.product(ups, repeat=2):
+            expected = None
+            for masks in itertools.product(ups, repeat=len(names)):
                 val = {
-                    "p": {i for i in range(fr.n) if pm >> i & 1},
-                    "q": {i for i in range(fr.n) if qm >> i & 1},
+                    v: [i for i in range(fr.n) if m >> i & 1] for v, m in zip(names, masks)
                 }
                 worlds = [x for x in range(fr.n) if not _holds(fr, val, x, f)]
                 if worlds:
-                    bad = (val, worlds)
+                    expected = (
+                        {v: tuple(fr.names[i] for i in ws) for v, ws in val.items()},
+                        fr.names[worlds[0]],
+                    )
                     break
-            if got is None:
-                assert bad is None
-            else:
-                assert bad is not None
-                # the reported countermodel must itself check out
-                val = {
-                    v: {fr.index(w) for w in ws} for v, ws in got.valuation.items()
-                }
-                for name in ("p", "q"):
-                    val.setdefault(name, set())
-                assert not _holds(fr, val, fr.index(got.world), f)
+            got = frame_validity(fr, f)
+            assert (got and (got.valuation, got.world)) == expected, (fr.name, f)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_last_variable_runs_fastest(self):
+        got = frame_validity(stock_frames()["one_point"], "q <-> p")
+        assert got.valuation == {"p": (), "q": ("w",)} and got.world == "w"
+
+    def test_first_counterexample_past_the_first_block(self):
+        # 64 up-sets on six discrete worlds: the first failure of
+        # ~(p & q & r), all three true at w0 alone, is valuation 4,161
+        fr = _six_cycle()
+        got = frame_validity(fr, "~ (p & q & r)")
+        assert got.valuation == {"p": ("w0",), "q": ("w0",), "r": ("w0",)}
+        assert got.world == "w0"
+
+    def test_peak_allocation_bounded_by_block(self):
+        # 64^3 valuations of a valid formula: one block of them peaks
+        # under 1 MB, a single relational pass over all of them at 46 MB
+        fr = _six_cycle()
+        valid = []
+        peak = peak_allocation(
+            lambda: valid.append(frame_validity(fr, "F (p & q) -> F p & F q | r") is None)
+        )
+        assert valid == [True]
+        assert peak < 2 << 20
 
     def test_var_cap(self):
         fr = stock_frames()["one_point"]

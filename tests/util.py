@@ -1,6 +1,7 @@
 """Small helpers shared between test modules."""
 
 import random
+import tracemalloc
 
 from tenselab.syntax import (
     And,
@@ -42,3 +43,13 @@ def random_formula(rng: random.Random, depth: int = 4, vars=("p", "q", "r"), met
         random_formula(rng, depth - 1, vars, meta),
         random_formula(rng, depth - 1, vars, meta),
     )
+
+
+def peak_allocation(fn) -> int:
+    """Peak bytes allocated (Python and numpy) while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
