@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +55,11 @@ from .syntax import (
     MetaVar,
     Not,
     Or,
+    Program,
     Top,
     Var,
+    compile_formula,
     parse_formula,
-    variables_of,
 )
 
 
@@ -447,43 +448,49 @@ def enumerate_gc_pairs(base: HeytingAlgebra) -> list[tuple[tuple[int, ...], tupl
 # ------------------------------------------------------------- evaluation
 
 
-def _eval(alg, env: Mapping[str, np.ndarray], f: Formula, size: int) -> np.ndarray:
-    base = alg.base if isinstance(alg, AlgebraWithOps) else alg
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariable(f.name) from None
-    if isinstance(f, MetaVar):
-        raise EvalError(f"metavariable {f.name!r} has no semantic value")
-    if isinstance(f, Top):
-        return np.full(size, base.top, dtype=np.int64)
-    if isinstance(f, Bot):
-        return np.full(size, base.bottom, dtype=np.int64)
-    if isinstance(f, Not):
-        c = _eval(alg, env, f.child, size)
-        return base.imp[c, base.bottom]
-    if isinstance(f, And):
-        return base.meet[_eval(alg, env, f.left, size), _eval(alg, env, f.right, size)]
-    if isinstance(f, Or):
-        return base.join[_eval(alg, env, f.left, size), _eval(alg, env, f.right, size)]
-    if isinstance(f, Imp):
-        return base.imp[_eval(alg, env, f.left, size), _eval(alg, env, f.right, size)]
-    if isinstance(f, Iff):
-        l = _eval(alg, env, f.left, size)
-        r = _eval(alg, env, f.right, size)
-        return base.meet[base.imp[l, r], base.imp[r, l]]
-    if isinstance(f, (Dia, Box, BDia, BBox)):
-        if not isinstance(alg, AlgebraWithOps):
+_TABLE = {Dia: "dia", Box: "box", BDia: "bdia", BBox: "bbox"}
+
+
+def _values(
+    alg: Union[HeytingAlgebra, AlgebraWithOps],
+    program: Program,
+    env: Mapping[str, np.ndarray],
+    size: int,
+) -> np.ndarray:
+    """Values of a compiled formula, one per column of the env arrays."""
+    with_ops = isinstance(alg, AlgebraWithOps)
+    base = alg.base if with_ops else alg
+    for node in program.hazards:
+        if isinstance(node, Var):
+            if node.name not in env:
+                raise UnboundVariable(node.name)
+        elif isinstance(node, MetaVar):
+            raise EvalError(f"metavariable {node.name!r} has no semantic value")
+        elif not with_ops:
             raise ModalOperatorPresent()
-        table = {
-            Dia: alg.dia,
-            Box: alg.box,
-            BDia: alg.bdia,
-            BBox: alg.bbox,
-        }[type(f)]
-        return table[_eval(alg, env, f.child, size)]
-    raise TypeError(f"not a formula: {f!r}")
+    meet, join, imp = base.meet, base.join, base.imp
+    vals: list[np.ndarray] = []
+    for kind, a, b in program.steps:
+        if kind is Var:
+            v = env[a]
+        elif kind is And:
+            v = meet[vals[a], vals[b]]
+        elif kind is Or:
+            v = join[vals[a], vals[b]]
+        elif kind is Imp:
+            v = imp[vals[a], vals[b]]
+        elif kind is Not:
+            v = imp[vals[a], base.bottom]
+        elif kind is Iff:
+            v = meet[imp[vals[a], vals[b]], imp[vals[b], vals[a]]]
+        elif kind is Top:
+            v = np.full(size, base.top, dtype=np.int64)
+        elif kind is Bot:
+            v = np.full(size, base.bottom, dtype=np.int64)
+        else:  # a modal kind; the hazards ruled out a plain algebra
+            v = getattr(alg, _TABLE[kind])[vals[a]]
+        vals.append(v)
+    return vals[-1]
 
 
 def evaluate(
@@ -499,7 +506,7 @@ def evaluate(
     for k, v in valuation.items():
         i = base.index(v) if isinstance(v, str) else int(v)
         env[k] = np.asarray([i], dtype=np.int64)
-    return int(_eval(alg, env, formula, 1)[0])
+    return int(_values(alg, compile_formula(formula), env, 1)[0])
 
 
 DEFAULT_VAR_CAP = 4
@@ -509,15 +516,29 @@ DEFAULT_VAR_CAP = 4
 VALUATION_BLOCK = 4096
 
 
-def valuation_blocks(choices: int, k: int) -> Iterator[np.ndarray]:
+def valuation_blocks(choices: int, k: int) -> Iterable[np.ndarray]:
     """All choices**k valuations of k variables, VALUATION_BLOCK at a time.
 
     Each block is a (k, columns) array of choice indices, one row per
     variable.  Columns run in itertools.product order (the last variable
     varies fastest), so the first bad column of the first bad block is
     the lexicographically first valuation.  With k = 0 there is one
-    block of one empty column.
+    block of one empty column.  When one block covers every valuation
+    it is built once and shared, so it is read-only.
     """
+    if choices**k <= VALUATION_BLOCK:
+        return (_whole_grid(choices, k),)
+    return _grid_blocks(choices, k)
+
+
+@lru_cache(maxsize=64)
+def _whole_grid(choices: int, k: int) -> np.ndarray:
+    (grid,) = _grid_blocks(choices, k)
+    grid.flags.writeable = False
+    return grid
+
+
+def _grid_blocks(choices: int, k: int) -> Iterator[np.ndarray]:
     total = choices**k
     # past int64, the digits of a column number are taken with Python ints
     dtype = np.int64 if total < 1 << 62 else object
@@ -540,11 +561,12 @@ def algebra_validity(
     if isinstance(formula, str):
         formula = parse_formula(formula)
     base = alg.base if isinstance(alg, AlgebraWithOps) else alg
-    names = variables_of(formula)
+    program = compile_formula(formula)
+    names = program.variables
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
     for grid in valuation_blocks(base.n, len(names)):
-        bad = _eval(alg, dict(zip(names, grid)), formula, grid.shape[1]) != base.top
+        bad = _values(alg, program, dict(zip(names, grid)), grid.shape[1]) != base.top
         if bad.any():
             first = int(np.argmax(bad))
             return {v: int(grid[i, first]) for i, v in enumerate(names)}

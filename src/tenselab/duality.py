@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraWithOps, attach_ops
 from .frames import Frame, check_ik_frame, compose, IKFrameReport
-from .lattice import HeytingAlgebra, from_order, mask_rows, up_sets
+from .lattice import HeytingAlgebra, from_order, mask_rows
 
 
 class DualityError(ValueError):
@@ -148,7 +148,7 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     report = check_ik_frame(frame)
     if not report.is_ik:
         raise NotAnIKFrame(report)
-    carrier = up_sets(frame.poset())
+    carrier = tuple(frame.up_set_masks.tolist())
     index = {m: i for i, m in enumerate(carrier)}
     names = tuple(_upset_name(frame, m) for m in carrier)
     pairs = []

@@ -16,11 +16,12 @@ An IK frame satisfies the two confluence conditions
 
 which make all truth sets up-closed (persistence).
 
-A formula is evaluated for a whole block of valuations at once: its
-truth sets form a bool matrix with one row per valuation and one column
-per world, and each connective is one array operation on the relations
-above.  The public results (truth_set, Model.val) are int bitmasks over
-world indices.
+A formula is compiled once into postfix steps (syntax.compile_formula)
+and evaluated for a whole block of valuations at once: its truth sets
+form a bool matrix with one row per valuation and one column per world,
+and each step is one array operation on the relations above.  The
+public results (truth_set, Model.val) are int bitmasks over world
+indices.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -37,7 +39,6 @@ from .syntax import (
     And,
     BBox,
     BDia,
-    Bot,
     Box,
     Dia,
     Formula,
@@ -46,10 +47,11 @@ from .syntax import (
     MetaVar,
     Not,
     Or,
+    Program,
     Top,
     Var,
+    compile_formula,
     parse_formula,
-    variables_of,
 )
 from .algebra import CapExceeded, UnboundVariable, valuation_blocks
 
@@ -110,6 +112,18 @@ class Frame:
 
     def index(self, name: str) -> int:
         return self._index[name]
+
+    @cached_property
+    def up_set_masks(self) -> np.ndarray:
+        """Every up-set as a world bitmask, ascending; read-only int32.
+
+        Listed on first use: most frames enumerate_frames builds are
+        dropped before anything asks for their up-sets.
+        """
+        # up_sets stops at 20 worlds, so every mask fits in 32 bits
+        masks = np.array(up_sets(self.poset()), dtype=np.int32)
+        masks.flags.writeable = False
+        return masks
 
     def poset(self) -> Poset:
         return Poset(self.names, self.leq)
@@ -206,43 +220,44 @@ def _some(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
     return a @ rel.T
 
 
-def _truths(frame: Frame, env: Mapping[str, np.ndarray], f: Formula, rows: int) -> np.ndarray:
-    """Truth sets of f as a (rows, worlds) bool matrix, one row per
-    valuation; env maps each variable to its own such matrix."""
-    if isinstance(f, Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariable(f.name) from None
-    if isinstance(f, MetaVar):
-        raise FrameError(f"metavariable {f.name!r} has no truth set")
-    if isinstance(f, Top):
-        return np.ones((rows, frame.n), dtype=bool)
-    if isinstance(f, Bot):
-        return np.zeros((rows, frame.n), dtype=bool)
-    if isinstance(f, Not):
-        return ~_some(_truths(frame, env, f.child, rows), frame.leq)
-    if isinstance(f, And):
-        return _truths(frame, env, f.left, rows) & _truths(frame, env, f.right, rows)
-    if isinstance(f, Or):
-        return _truths(frame, env, f.left, rows) | _truths(frame, env, f.right, rows)
-    if isinstance(f, Imp):
-        a = _truths(frame, env, f.left, rows)
-        b = _truths(frame, env, f.right, rows)
-        return ~_some(a & ~b, frame.leq)
-    if isinstance(f, Iff):
-        a = _truths(frame, env, f.left, rows)
-        b = _truths(frame, env, f.right, rows)
-        return ~_some(a ^ b, frame.leq)
-    if isinstance(f, Dia):
-        return _some(_truths(frame, env, f.child, rows), frame.r_up)
-    if isinstance(f, Box):
-        return ~_some(~_truths(frame, env, f.child, rows), frame.leq_r)
-    if isinstance(f, BDia):
-        return _some(_truths(frame, env, f.child, rows), frame.leq_r.T)
-    if isinstance(f, BBox):
-        return ~_some(~_truths(frame, env, f.child, rows), frame.r_up.T)
-    raise TypeError(f"not a formula: {f!r}")
+def _truth_rows(
+    frame: Frame, program: Program, env: Mapping[str, np.ndarray], rows: int
+) -> np.ndarray:
+    """Truth sets of a compiled formula as a (rows, worlds) bool matrix,
+    one row per valuation; env maps each variable to its own such matrix."""
+    for node in program.hazards:
+        if isinstance(node, MetaVar):
+            raise FrameError(f"metavariable {node.name!r} has no truth set")
+        if isinstance(node, Var) and node.name not in env:
+            raise UnboundVariable(node.name)
+    vals: list[np.ndarray] = []
+    for kind, a, b in program.steps:
+        if kind is Var:
+            v = env[a]
+        elif kind is And:
+            v = vals[a] & vals[b]
+        elif kind is Or:
+            v = vals[a] | vals[b]
+        elif kind is Imp:
+            v = ~_some(vals[a] & ~vals[b], frame.leq)
+        elif kind is Not:
+            v = ~_some(vals[a], frame.leq)
+        elif kind is Iff:
+            v = ~_some(vals[a] ^ vals[b], frame.leq)
+        elif kind is Dia:
+            v = _some(vals[a], frame.r_up)
+        elif kind is Box:
+            v = ~_some(~vals[a], frame.leq_r)
+        elif kind is BDia:
+            v = _some(vals[a], frame.leq_r.T)
+        elif kind is BBox:
+            v = ~_some(~vals[a], frame.r_up.T)
+        elif kind is Top:
+            v = np.ones((rows, frame.n), dtype=bool)
+        else:  # Bot
+            v = np.zeros((rows, frame.n), dtype=bool)
+        vals.append(v)
+    return vals[-1]
 
 
 def truth_set(model: Model, formula: Union[Formula, str]) -> int:
@@ -250,11 +265,14 @@ def truth_set(model: Model, formula: Union[Formula, str]) -> int:
     if isinstance(formula, str):
         formula = parse_formula(formula)
     frame = model.frame
+    program = compile_formula(formula)
     env = {
-        v: np.array([[m >> x & 1 for x in range(frame.n)]], dtype=bool)
-        for v, m in model.val.items()
+        v: np.array([[model.val[v] >> x & 1 for x in range(frame.n)]], dtype=bool)
+        for v in program.variables
+        if v in model.val
     }
-    return sum(1 << int(x) for x in np.flatnonzero(_truths(frame, env, formula, 1)[0]))
+    truth = _truth_rows(frame, program, env, 1)
+    return sum(1 << int(x) for x in np.flatnonzero(truth[0]))
 
 
 def truth_worlds(model: Model, formula: Union[Formula, str]) -> tuple[str, ...]:
@@ -265,36 +283,6 @@ def truth_worlds(model: Model, formula: Union[Formula, str]) -> tuple[str, ...]:
 def satisfies(model: Model, world: Union[int, str], formula: Union[Formula, str]) -> bool:
     x = model.frame.index(world) if isinstance(world, str) else int(world)
     return bool(truth_set(model, formula) & (1 << x))
-
-
-@dataclass(frozen=True)
-class PersistenceViolation:
-    formula: Formula
-    lower: str
-    upper: str
-
-
-def check_persistence(
-    model: Model, formulas: Iterable[Union[Formula, str]]
-) -> tuple[PersistenceViolation, ...]:
-    """Worlds breaking up-closure of a truth set, per formula.
-
-    Empty on IK frames; on arbitrary frames this is where the
-    confluence conditions earn their keep.
-    """
-    frame = model.frame
-    out = []
-    for f in formulas:
-        if isinstance(f, str):
-            f = parse_formula(f)
-        mask = truth_set(model, f)
-        for x in range(frame.n):
-            missing = frame.up_rows[x] & ~mask
-            if mask >> x & 1 and missing:
-                y = missing.bit_length() - 1
-                out.append(PersistenceViolation(f, frame.names[x], frame.names[y]))
-                break
-    return tuple(out)
 
 
 # ------------------------------------------------------------- validity
@@ -320,16 +308,16 @@ def frame_validity(
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    names = variables_of(formula)
+    program = compile_formula(formula)
+    names = program.variables
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
-    # up_sets stops at 20 worlds, so every mask fits in 32 bits
-    upsets = np.array(up_sets(frame.poset()), dtype=np.int32)
+    upsets = frame.up_set_masks
     worlds = np.arange(frame.n, dtype=np.int32)
     for grid in valuation_blocks(len(upsets), len(names)):
         # (variable, valuation, world) bits of this block's up-sets
         rows = (upsets[grid, None] >> worlds & 1).astype(bool)
-        truth = _truths(frame, dict(zip(names, rows)), formula, grid.shape[1])
+        truth = _truth_rows(frame, program, dict(zip(names, rows)), grid.shape[1])
         valid = truth.all(axis=1)
         if not valid.all():
             first = int(np.argmin(valid))

@@ -249,8 +249,8 @@ def test_law_equivalence(
 
 
 def _eval_direct(base: HeytingAlgebra, env: Mapping[str, int], f: Formula) -> int:
-    # deliberately independent of algebra._eval: a plain table walk used
-    # to cross-check the vectorized evaluator in conservativity_check
+    # deliberately independent of algebra's compiled evaluator: a plain table
+    # walk used to cross-check the vectorized one in conservativity_check
     if isinstance(f, Var):
         return env[f.name]
     if isinstance(f, Top):

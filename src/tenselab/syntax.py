@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 
@@ -129,6 +130,7 @@ class Iff(Formula):
 
 
 UNARY_KINDS = (Not, Dia, Box, BDia, BBox)
+MODAL_KINDS = (Dia, Box, BDia, BBox)
 BINARY_KINDS = (And, Or, Imp, Iff)
 
 RESERVED_WORDS = frozenset({"top", "bot", "dia", "box", "bdia", "bbox"})
@@ -363,21 +365,65 @@ def iter_subformulas(f: Formula) -> Iterator[Formula]:
         yield from iter_subformulas(f.right)
 
 
-def _collect_variables(f: Formula, found: set[str]) -> None:
-    if isinstance(f, Var):
-        found.add(f.name)
-    elif isinstance(f, UNARY_KINDS):
-        _collect_variables(f.child, found)
-    elif isinstance(f, BINARY_KINDS):
-        _collect_variables(f.left, found)
-        _collect_variables(f.right, found)
+@dataclass(frozen=True)
+class Program:
+    """A formula compiled to postfix steps, one per distinct subformula.
+
+    Step i is (kind, a, b) with kind the node class.  For Var and MetaVar
+    a is the name; for a unary kind a is the step index of the child; for
+    a binary kind a and b index the left and right steps.  Children come
+    before their parents and the last step is the formula itself.
+
+    hazards lists, in preorder, the nodes where an evaluator may have to
+    stop: the first occurrence of each variable and metavariable, and the
+    first modal node.  Checking them in order finds the first problem in
+    preorder before any work is done.
+    """
+
+    variables: tuple[str, ...]
+    steps: tuple[tuple[type, object, object], ...]
+    hazards: tuple[Formula, ...]
+
+
+PROGRAM_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def compile_formula(f: Formula) -> Program:
+    """The postfix program of f, cached by formula value."""
+    steps: list[tuple[type, object, object]] = []
+    index: dict[tuple[type, object, object], int] = {}
+    hazards: list[Formula] = []
+
+    def visit(g: Formula) -> int:
+        kind = type(g)
+        if kind is Var or kind is MetaVar:
+            step = (kind, g.name, None)
+            if step not in index:
+                hazards.append(g)
+        elif kind in UNARY_KINDS:
+            if kind in MODAL_KINDS and not any(type(h) in MODAL_KINDS for h in hazards):
+                hazards.append(g)
+            step = (kind, visit(g.child), None)
+        elif kind in BINARY_KINDS:
+            step = (kind, visit(g.left), visit(g.right))
+        elif kind is Top or kind is Bot:
+            step = (kind, None, None)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if step not in index:
+            index[step] = len(steps)
+            steps.append(step)
+        return index[step]
+
+    visit(f)
+    names = sorted(name for kind, name, _ in steps if kind is Var)
+    return Program(tuple(names), tuple(steps), tuple(hazards))
 
 
 def variables_of(f: Formula) -> tuple[str, ...]:
-    """Sorted names of the propositional variables occurring in f."""
-    found: set[str] = set()
-    _collect_variables(f, found)
-    return tuple(sorted(found))
+    """Sorted names of the propositional variables in f, from its program."""
+    return compile_formula(f).variables
 
 
 def metavariables_of(f: Formula) -> tuple[str, ...]:
@@ -387,7 +433,7 @@ def metavariables_of(f: Formula) -> tuple[str, ...]:
 
 
 def has_modal(f: Formula) -> bool:
-    return any(isinstance(g, (Dia, Box, BDia, BBox)) for g in iter_subformulas(f))
+    return any(isinstance(g, MODAL_KINDS) for g in iter_subformulas(f))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:

@@ -12,7 +12,9 @@ from tenselab.algebra import (
     H2GC_FS_LAWS,
     H2GC_LAWS,
     LAW_NAMES,
+    VALUATION_BLOCK,
     CapExceeded,
+    EvalError,
     ModalOperatorPresent,
     NotJoinPreserving,
     NotMeetPreserving,
@@ -28,8 +30,10 @@ from tenselab.algebra import (
     evaluate,
     identity_expansion,
     stock_algebras,
+    valuation_blocks,
     valuation_names,
 )
+from tenselab.frames import FrameError, Model, stock_frames, truth_set
 from tenselab.lattice import chain, diamond, diamond_with_top, enumerate_heyting
 from tenselab.search import _eval_direct
 from tenselab.syntax import (
@@ -45,7 +49,9 @@ from tenselab.syntax import (
     Or,
     Top,
     Var,
+    iter_subformulas,
     parse_formula,
+    parse_schema,
 )
 
 from util import peak_allocation, random_formula
@@ -166,6 +172,15 @@ def _eval_ref(alg, env, f):
         return int(base.meet[base.imp[l, r], base.imp[r, l]])
     table = {Dia: "dia", Box: "box", BDia: "bdia", BBox: "bbox"}[type(f)]
     return int(getattr(alg, table)[_eval_ref(alg, env, f.child)])
+
+
+def _validity_ref(alg, f, names):
+    """First valuation, in itertools.product order, at which f is not top."""
+    for combo in itertools.product(range(alg.n), repeat=len(names)):
+        env = dict(zip(names, combo))
+        if _eval_ref(alg, env, f) != alg.base.top:
+            return env
+    return None
 
 
 class TestGaloisPairs:
@@ -340,6 +355,22 @@ class TestEvaluate:
             env = {v: data.draw(st.integers(0, base.n - 1), label=v) for v in "pqr"}
             assert evaluate(base, env, f) == _eval_direct(base, env, f), base.name
 
+    def test_modal_matches_reference_on_every_combo_up_to_size4(self, op_combos_upto5):
+        rng = random.Random(4)
+        combos = [alg for alg in op_combos_upto5 if alg.n <= 4]
+        assert len(combos) == 697
+        outcomes = set()
+        for alg in combos:
+            for _ in range(2):
+                f = random_formula(rng, depth=3)
+                names = sorted({g.name for g in iter_subformulas(f) if isinstance(g, Var)})
+                env = {v: rng.randrange(alg.n) for v in ("p", "q", "r")}
+                assert evaluate(alg, env, f) == _eval_ref(alg, env, f), (alg, f)
+                got = algebra_validity(alg, f)
+                assert got == _validity_ref(alg, f, names), (alg, f)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
     def test_accepts_names_and_text(self):
         alg = chain(3)
         assert alg.names[evaluate(alg, {"p": "m"}, "~ ~ p")] == "1"
@@ -352,6 +383,41 @@ class TestEvaluate:
     def test_modal_needs_op_tables(self):
         with pytest.raises(ModalOperatorPresent):
             evaluate(chain(2), {"p": 0}, "F p")
+
+
+_MODAL = (ModalOperatorPresent, "formula uses modal operators but no operator tables given")
+_META = (EvalError, "metavariable 'X' has no semantic value")
+_FRAME_META = (FrameError, "metavariable 'X' has no truth set")
+_UNBOUND_P = (UnboundVariable, "valuation does not cover variable 'p'")
+
+
+class TestErrorPrecedence:
+    """With nothing bound, the first problem in preorder is reported:
+    a modal node on a plain Heyting algebra, a metavariable, or an
+    unbound variable."""
+
+    @pytest.mark.parametrize(
+        "text, plain, expanded, frame",
+        [
+            ("F X", _MODAL, _META, _FRAME_META),
+            ("F p", _MODAL, _UNBOUND_P, _UNBOUND_P),
+            ("X & F p", _META, _META, _FRAME_META),
+            ("F p & q", _MODAL, _UNBOUND_P, _UNBOUND_P),
+            ("p & X", _UNBOUND_P, _UNBOUND_P, _UNBOUND_P),
+            ("F X | q", _MODAL, _META, _FRAME_META),
+        ],
+    )
+    def test_first_problem_in_preorder(self, text, plain, expanded, frame):
+        f = parse_schema(text)
+        model = Model(stock_frames()["two_forward"], {})
+        for run, (cls, message) in (
+            (lambda: evaluate(chain(3), {}, f), plain),
+            (lambda: evaluate(identity_expansion(chain(3)), {}, f), expanded),
+            (lambda: truth_set(model, f), frame),
+        ):
+            with pytest.raises(cls) as exc:
+                run()
+            assert type(exc.value) is cls and str(exc.value) == message
 
 
 class TestValidity:
@@ -398,6 +464,17 @@ class TestValidity:
         )
         assert valid == [True]
         assert peak < 2 << 20
+
+    def test_one_block_grid_is_shared_and_read_only(self):
+        (grid,) = valuation_blocks(5, 2)
+        assert grid.shape == (2, 25)
+        assert valuation_blocks(5, 2)[0] is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1
+        # a multi-block sweep walks fresh blocks, one at a time
+        blocks = valuation_blocks(VALUATION_BLOCK + 1, 1)
+        first = next(iter(blocks))
+        assert first.shape == (1, VALUATION_BLOCK) and first.flags.writeable
 
     def test_var_cap(self):
         with pytest.raises(CapExceeded):

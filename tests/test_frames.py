@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from tenselab import duality, frames
 from tenselab.algebra import CapExceeded, UnboundVariable
 from tenselab.frames import (
     Frame,
@@ -12,7 +13,6 @@ from tenselab.frames import (
     NotAPreorder,
     NotUpClosed,
     check_ik_frame,
-    check_persistence,
     compose,
     enumerate_frames,
     frame_validity,
@@ -121,6 +121,24 @@ def _ik_via_stability(frame):
     s1 = compose(frame.r, geq)
     s2 = compose(frame.leq, frame.r).T
     return _is_intgc_relation(frame.leq, s1) and _is_intgc_relation(frame.leq, s2)
+
+
+def _persistence_violations(model, formulas):
+    """(formula, lower, upper) for each formula whose truth set is not
+    up-closed: lower is its first true world with upper, a false world,
+    above it.  Empty on IK frames; on arbitrary frames this is where the
+    confluence conditions earn their keep."""
+    fr = model.frame
+    out = []
+    for f in formulas:
+        f = parse_formula(f) if isinstance(f, str) else f
+        mask = truth_set(model, f)
+        for x in range(fr.n):
+            missing = fr.up_rows[x] & ~mask
+            if mask >> x & 1 and missing:
+                out.append((f, fr.names[x], fr.names[missing.bit_length() - 1]))
+                break
+    return tuple(out)
 
 
 def _sample_pool():
@@ -294,16 +312,16 @@ class TestPersistence:
                         for v, m in masks.items()
                     },
                 )
-                assert check_persistence(model, self.FORMULAS) == ()
+                assert _persistence_violations(model, self.FORMULAS) == ()
 
     def test_violation_on_non_ik_frame(self):
         fr = stock_frames()["two_forward"]
         model = Model(fr, {"p": ["u"]})
-        violations = check_persistence(model, ["P p"])
+        violations = _persistence_violations(model, ["P p"])
         assert len(violations) == 1
-        v = violations[0]
-        assert (v.lower, v.upper) == ("w", "u")
-        assert v.formula == parse_formula("P p")
+        formula, lower, upper = violations[0]
+        assert (lower, upper) == ("w", "u")
+        assert formula == parse_formula("P p")
 
 
 class TestFrameValidity:
@@ -380,6 +398,30 @@ class TestFrameValidity:
         fr = stock_frames()["one_point"]
         with pytest.raises(CapExceeded):
             frame_validity(fr, "p1 & p2 & p3 & p4 & p5")
+
+    def test_up_sets_listed_once_per_frame(self, monkeypatch):
+        calls = []
+        original = frames.up_sets
+
+        def counted(poset):
+            calls.append(poset.names)
+            return original(poset)
+
+        monkeypatch.setattr(frames, "up_sets", counted)
+        fr = make_frame(("w", "u", "v"), [("w", "u")], [("u", "v"), ("v", "v")])
+        assert check_ik_frame(fr).is_ik
+        assert calls == []  # listed on first use, not when the frame is built
+        rng = random.Random(43)
+        for _ in range(43):
+            frame_validity(fr, random_formula(rng, depth=3))
+        assert calls == [("w", "u", "v")]
+        masks = fr.up_set_masks
+        assert masks.dtype == np.int32 and list(masks) == list(up_sets(fr.poset()))
+        with pytest.raises(ValueError):
+            masks[0] = 1
+        # the complex algebra reads the same list, in the same order
+        assert duality.complex_algebra(fr).carrier == tuple(masks.tolist())
+        assert calls == [("w", "u", "v")]
 
 
 class TestEnumeration:

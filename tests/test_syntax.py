@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tenselab.syntax import (
+    PROGRAM_CACHE_SIZE,
     And,
     BBox,
     BDia,
@@ -21,6 +22,7 @@ from tenselab.syntax import (
     Top,
     Var,
     check_var_name,
+    compile_formula,
     has_modal,
     is_valid_var_name,
     iter_subformulas,
@@ -192,6 +194,60 @@ class TestTraversals:
         subs = list(iter_subformulas(f))
         assert len(subs) == 3
         assert subs[0] == f
+
+
+class TestCompile:
+    def test_one_step_per_distinct_subformula(self):
+        prog = compile_formula(parse_formula("(q -> p) & ~(q -> p) | top"))
+        assert prog.variables == ("p", "q")
+        assert prog.steps == (
+            (Var, "q", None),
+            (Var, "p", None),
+            (Imp, 0, 1),
+            (Not, 2, None),
+            (And, 2, 3),
+            (Top, None, None),
+            (Or, 4, 5),
+        )
+
+    @given(st.data())
+    def test_steps_rebuild_the_formula(self, data):
+        f = _formulas(4, data)
+        built = []
+        for kind, a, b in compile_formula(f).steps:
+            if kind in (Var, MetaVar):
+                built.append(kind(a))
+            elif kind in (Top, Bot):
+                built.append(kind())
+            elif b is None:
+                assert a < len(built)
+                built.append(kind(built[a]))
+            else:
+                assert a < len(built) and b < len(built)
+                built.append(kind(built[a], built[b]))
+        assert built[-1] == f
+        assert len(built) == len(set(built)) == len(set(iter_subformulas(f)))
+
+    def test_hazards_in_preorder(self):
+        prog = compile_formula(parse_schema("q & (X | F (p & F q)) & G X"))
+        assert prog.hazards == (
+            Var("q"), MetaVar("X"), Dia(parse_formula("p & F q")), Var("p"),
+        )
+        assert prog.variables == ("p", "q")
+
+    def test_equal_formulas_share_one_program(self):
+        a = parse_formula("F (p -> q) -> G p -> F q")
+        b = parse_formula("F (p -> q) -> G p -> F q")
+        assert a == b and a is not b
+        assert compile_formula(a) is compile_formula(b)
+
+    def test_cache_is_bounded(self):
+        assert compile_formula.cache_info().maxsize == PROGRAM_CACHE_SIZE
+        assert isinstance(PROGRAM_CACHE_SIZE, int) and PROGRAM_CACHE_SIZE > 0
+
+    def test_rejects_non_formulas(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            compile_formula(And(P, "q"))
 
 
 class TestSubstitutionAndMatch:
