@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -175,7 +175,12 @@ class LawReport:
 
 
 class AlgebraWithOps:
-    """A Heyting algebra plus the four unary operator tables."""
+    """A Heyting algebra plus the four unary operator tables.
+
+    laws is the report on all 22 laws.  A caller that has graded the
+    tables already passes it in; otherwise it is graded the first time
+    it is read, and kept.
+    """
 
     def __init__(
         self,
@@ -184,14 +189,21 @@ class AlgebraWithOps:
         box: np.ndarray,
         bdia: np.ndarray,
         bbox: np.ndarray,
-        laws: LawReport,
+        laws: Optional[LawReport] = None,
     ):
         self.base = base
         self.dia = dia
         self.box = box
         self.bdia = bdia
         self.bbox = bbox
-        self.laws = laws
+        if laws is not None:
+            self.laws = laws
+
+    @cached_property
+    def laws(self) -> LawReport:
+        left = (self.dia[None], self.bbox[None])
+        right = (self.bdia[None], self.box[None])
+        return next(_grade(self.base, left, right))
 
     @property
     def n(self) -> int:
@@ -335,7 +347,11 @@ def attach_ops(
     bdia: Sequence[int],
     bbox: Sequence[int],
 ) -> AlgebraWithOps:
-    """Bundle operator tables with a base algebra and grade all laws."""
+    """Bundle operator tables with a base algebra.
+
+    The tables' shapes and ranges are checked here; the laws are graded
+    the first time the result's laws are read.
+    """
     n = base.n
     tables = {}
     for label, t in (("dia", dia), ("box", box), ("bdia", bdia), ("bbox", bbox)):
@@ -345,16 +361,7 @@ def attach_ops(
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"{label} table index out of range")
         tables[label] = arr
-    laws = next(
-        _grade(
-            base,
-            (tables["dia"][None], tables["bbox"][None]),
-            (tables["bdia"][None], tables["box"][None]),
-        )
-    )
-    return AlgebraWithOps(
-        base, tables["dia"], tables["box"], tables["bdia"], tables["bbox"], laws
-    )
+    return AlgebraWithOps(base, tables["dia"], tables["box"], tables["bdia"], tables["bbox"])
 
 
 # ----------------------------------------------------------- adjunctions

@@ -130,9 +130,6 @@ class ComplexAlgebraResult:
     algebra: AlgebraWithOps
     carrier: tuple[int, ...]  # carrier[i] = world bitmask of element i
 
-    def index_of_mask(self, mask: int) -> int:
-        return self.carrier.index(mask)
-
 
 def _upset_name(frame: Frame, mask: int) -> str:
     members = [frame.names[i] for i in range(frame.n) if (mask >> i) & 1]
@@ -224,45 +221,35 @@ def embedding_check(alg: AlgebraWithOps) -> EmbeddingReport:
     cf = canonical_frame(alg)
     frame, filters = cf.frame, cf.filters
     ca = complex_algebra(frame)
-    k = len(filters)
+    cx, cb, k = ca.algebra, ca.algebra.base, len(filters)
 
-    h_mask = [
-        sum(1 << i for i, fm in enumerate(filters) if (fm >> a) & 1)
-        for a in range(base.n)
-    ]
-    h = [ca.index_of_mask(m) for m in h_mask]
+    # member[i, a]: element a lies in filter i
+    member = np.array([[fm >> a & 1 for a in range(base.n)] for fm in filters], dtype=bool)
+    # h(a) as a world mask; complex_algebra has capped the worlds at 20
+    h_mask = (member.T.astype(np.int64) << np.arange(k)).sum(axis=1)
+    # the carrier lists every up-set in ascending order, and each h(a) is one
+    h = np.searchsorted(frame.up_set_masks, h_mask)
 
-    injective = len(set(h)) == base.n
-    surjective = set(h) == set(range(ca.algebra.n))
+    image = len(set(h.tolist()))  # np.unique imports numpy.ma, about 0.5 MB, on first use
+    injective = image == base.n
+    surjective = image == cb.n
 
-    cb = ca.algebra.base
-    ops = {}
-    ops["bottom"] = h[base.bottom] == cb.bottom
-    ops["top"] = h[base.top] == cb.top
-    ok_meet = ok_join = ok_imp = True
-    for a in range(base.n):
-        for b in range(base.n):
-            ok_meet &= h[base.meet[a, b]] == cb.meet[h[a], h[b]]
-            ok_join &= h[base.join[a, b]] == cb.join[h[a], h[b]]
-            ok_imp &= h[base.imp[a, b]] == cb.imp[h[a], h[b]]
-    ops["meet"], ops["join"], ops["imp"] = bool(ok_meet), bool(ok_join), bool(ok_imp)
-    for label, src, dst in (
-        ("dia", alg.dia, ca.algebra.dia),
-        ("box", alg.box, ca.algebra.box),
-        ("bdia", alg.bdia, ca.algebra.bdia),
-        ("bbox", alg.bbox, ca.algebra.bbox),
-    ):
-        ops[label] = all(h[int(src[a])] == int(dst[h[a]]) for a in range(base.n))
+    hx, hy = h[:, None], h[None, :]
+    ops = {
+        "bottom": bool(h[base.bottom] == cb.bottom),
+        "top": bool(h[base.top] == cb.top),
+        "meet": bool((h[base.meet] == cb.meet[hx, hy]).all()),
+        "join": bool((h[base.join] == cb.join[hx, hy]).all()),
+        "imp": bool((h[base.imp] == cb.imp[hx, hy]).all()),
+    }
+    for label in ("dia", "box", "bdia", "bbox"):
+        ops[label] = bool((h[getattr(alg, label)] == getattr(cx, label)[h]).all())
 
-    # second pair of composition identities on the canonical frame
-    bdia_inv = [_inverse_image_mask(alg.bdia, fm) for fm in filters]
-    bbox_inv = [_inverse_image_mask(alg.bbox, fm) for fm in filters]
-    want_leq_r = np.zeros((k, k), dtype=bool)
-    want_r_geq = np.zeros((k, k), dtype=bool)
-    for i, fi in enumerate(filters):
-        for j, fj in enumerate(filters):
-            want_leq_r[i, j] = (fi & ~bdia_inv[j]) == 0
-            want_r_geq[i, j] = (bbox_inv[j] & ~fi) == 0
+    # second pair of composition identities on the canonical frame:
+    # F (<=;R) G iff bdia a in G for every a in F, and
+    # F (R;>=) G iff a in F whenever bbox a is in G
+    want_leq_r = ~compose(member, ~member[:, alg.bdia].T)
+    want_r_geq = ~compose(~member, member[:, alg.bbox].T)
     got_leq_r = compose(frame.leq, frame.r)
     got_r_geq = compose(frame.r, frame.leq.T)
     connection2_leq_r = bool((got_leq_r == want_leq_r).all())

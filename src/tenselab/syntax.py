@@ -21,7 +21,7 @@ rule shapes and lemma citations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
@@ -56,6 +56,10 @@ class ReservedWordError(SyntaxIssue):
 class Formula:
     def __str__(self) -> str:
         return render_formula(self)
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process, so the cached hash stays behind
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,24 @@ class Iff(Formula):
 UNARY_KINDS = (Not, Dia, Box, BDia, BBox)
 MODAL_KINDS = (Dia, Box, BDia, BBox)
 BINARY_KINDS = (And, Or, Imp, Iff)
+
+
+def _cached_hash(f: Formula) -> int:
+    """The dataclass hash of f's fields, computed once per node.
+
+    Formulas key the program cache, so a sweep hashes the same tree on
+    every call; with each node keeping its hash, that is one lookup.
+    """
+    try:
+        return f.__dict__["_hash"]
+    except KeyError:
+        h = hash(tuple(getattr(f, field.name) for field in fields(f)))
+        object.__setattr__(f, "_hash", h)
+        return h
+
+
+for _kind in (Var, MetaVar, Top, Bot, *UNARY_KINDS, *BINARY_KINDS):
+    _kind.__hash__ = _cached_hash
 
 RESERVED_WORDS = frozenset({"top", "bot", "dia", "box", "bdia", "bbox"})
 _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")

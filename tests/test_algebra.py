@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tenselab import algebra
 from tenselab.algebra import (
     CORE_LAWS,
     EXTRA_LAWS,
@@ -33,7 +34,8 @@ from tenselab.algebra import (
     valuation_blocks,
     valuation_names,
 )
-from tenselab.frames import FrameError, Model, stock_frames, truth_set
+from tenselab.duality import complex_algebra, embedding_check
+from tenselab.frames import FrameError, Model, enumerate_frames, stock_frames, truth_set
 from tenselab.lattice import chain, diamond, diamond_with_top, enumerate_heyting
 from tenselab.search import _eval_direct
 from tenselab.syntax import (
@@ -235,6 +237,20 @@ class TestGaloisPairs:
             adjoint_of(chain(2), (0, 1), "sideways")
 
 
+@pytest.fixture
+def grades(monkeypatch):
+    """The base of every call to the law grader, in call order."""
+    calls = []
+    grade = algebra._grade
+
+    def counted(base, left, right):
+        calls.append(base)
+        return grade(base, left, right)
+
+    monkeypatch.setattr(algebra, "_grade", counted)
+    return calls
+
+
 class TestAttachOps:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -243,6 +259,24 @@ class TestAttachOps:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             attach_ops(chain(2), (0, 5), (0, 1), (0, 1), (0, 1))
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ((0, 1), "must list 3 values"),
+            ((0, 1, 2, 2), "must list 3 values"),
+            ((0, 3, 2), "index out of range"),
+            ((0, -1, 2), "index out of range"),
+        ],
+    )
+    def test_bad_table_fails_at_construction(self, grades, position, table, message):
+        tables = [(0, 1, 2)] * 4
+        tables[position] = table
+        label = ("dia", "box", "bdia", "bbox")[position]
+        with pytest.raises(ValueError, match=f"{label} table {message}"):
+            attach_ops(chain(3), *tables)
+        assert grades == []
 
     def test_identity_expansion_all_laws(self):
         for base in (chain(2), chain(4), diamond()):
@@ -274,6 +308,38 @@ class TestGrader:
         for alg in enumerate_op_combos(4):
             alone = attach_ops(alg.base, alg.dia, alg.box, alg.bdia, alg.bbox)
             assert _graded(alg.laws) == _graded(alone.laws) == _scalar_laws(alg)
+            # the same verdicts and witnesses, in the same key order
+            assert list(alone.laws.verdicts.items()) == list(alg.laws.verdicts.items())
+
+
+class TestLazyLaws:
+    def test_stream_passes_its_reports_in(self, grades):
+        combos = list(enumerate_op_combos(3))
+        assert len(grades) == 3  # one batch per base
+        assert all(alg.laws.verdicts for alg in combos)
+        assert len(grades) == 3
+
+    def test_attach_ops_grades_on_first_read(self, grades):
+        alg = identity_expansion(chain(3))
+        assert grades == []
+        report = alg.laws
+        assert grades == [alg.base]
+        assert alg.laws is report and alg.laws.all_green
+        assert grades == [alg.base]
+
+    def test_complex_algebra_grades_on_first_read(self, grades):
+        frame = next(f for f in enumerate_frames(3) if f.n == 3)
+        result = complex_algebra(frame)
+        assert grades == []
+        assert result.algebra.laws.all_green and result.algebra.laws.all_green
+        assert grades == [result.algebra.base]
+
+    def test_embedding_check_reads_only_its_input(self, grades):
+        alg = identity_expansion(diamond())
+        assert embedding_check(alg).is_isomorphism
+        assert grades == [alg.base]
+        alg.laws
+        assert grades == [alg.base]
 
 
 class TestLawVocabulary:

@@ -14,9 +14,12 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tenselab
 from tenselab import cli, formats
@@ -528,6 +531,90 @@ class TestTopLevel:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text("01amw", max_size=2),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "leq", "R", "ops", "x"]), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _malformed(draw, kind):
+    """JSON text near a valid algebra or frame document, often broken."""
+    labels = st.sampled_from(["0", "a", "b", "m", "1"])
+    names = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    element = st.sampled_from(names)
+    chain = [list(pair) for pair in zip(names, names[1:])]  # a lattice, so laws get graded
+    pair = st.lists(element, min_size=2, max_size=2)
+    pairs = st.one_of(st.just(chain), st.lists(pair, max_size=6))
+    if kind == "algebra":
+        doc = {"elements": names, "leq": draw(pairs)}
+        if draw(st.booleans()):
+            identity = st.just({x: x for x in names})
+            table = st.one_of(identity, st.fixed_dictionaries({x: element for x in names}))
+            doc["ops"] = {op: draw(table) for op in ("dia", "box", "bdia", "bbox")}
+    else:
+        doc = {"worlds": names, "leq": draw(pairs), "R": draw(pairs)}
+    damage = draw(st.sampled_from(["none"] * 3 + ["drop", "junk", "entry", "whole", "truncate"]))
+    key = draw(st.sampled_from(sorted(doc)))
+    if damage == "drop":
+        del doc[key]
+    elif damage == "junk":
+        doc[key] = draw(_JUNK)
+    elif damage == "entry":  # one bad pair or name, or one table value
+        inner = doc[key]
+        if isinstance(inner, list):
+            inner.append(draw(_JUNK))
+        else:
+            table = inner[draw(st.sampled_from(sorted(inner)))]
+            x = draw(st.sampled_from(names))
+            if draw(st.booleans()):
+                del table[x]
+            else:
+                table[x] = draw(_JUNK)
+    elif damage == "whole":
+        doc = draw(_JUNK)
+    text = json.dumps(doc)
+    if damage == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+class TestMalformedInputFuzz:
+    """Bad documents exit 0, 1 or 2 with a message, never a traceback."""
+
+    @staticmethod
+    def _run(path, command, option, as_json, text):
+        path.write_text(text)
+        argv = [command, *(["--json"] if as_json else []), option, str(path)]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (cli.OK, cli.FOUND, cli.USAGE), (text, code)
+        assert "Traceback" not in err.getvalue()
+        if code == cli.USAGE:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        elif as_json:
+            json.loads(out.getvalue())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=_malformed("algebra"),
+        command=st.sampled_from(["check-algebra", "canonical", "embed"]),
+        as_json=st.booleans(),
+    )
+    def test_algebra_commands(self, tmp_path_factory, text, command, as_json):
+        path = tmp_path_factory.getbasetemp() / "fuzz_algebra.json"
+        self._run(path, command, "--algebra", as_json, text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=_malformed("frame"), as_json=st.booleans())
+    def test_complex(self, tmp_path_factory, text, as_json):
+        path = tmp_path_factory.getbasetemp() / "fuzz_frame.json"
+        self._run(path, "complex", "--frame", as_json, text)
 
 
 def test_installed_console_script():

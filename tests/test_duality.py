@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tenselab.algebra import (
@@ -10,8 +11,10 @@ from tenselab.algebra import (
 )
 from tenselab.duality import (
     DegenerateAlgebra,
+    EmbeddingReport,
     NotAnH2GCFSAlgebra,
     NotAnIKFrame,
+    _OP_NAMES,
     canonical_frame,
     complex_algebra,
     embedding_check,
@@ -20,6 +23,7 @@ from tenselab.duality import (
 from tenselab.frames import (
     Model,
     check_ik_frame,
+    compose,
     enumerate_frames,
     stock_frames,
     truth_set,
@@ -54,6 +58,71 @@ def _brute_prime_filters(base):
         if up and meets and prime:
             out.append(mask)
     return tuple(out)
+
+
+def _loop_embedding(alg):
+    """embedding_check one element pair at a time.
+
+    h is a list of carrier indices found by search, each preservation
+    law is a Python loop over its arguments, and the second pair of
+    composition identities compares filter bitmasks.
+    """
+    if alg.n == 1:
+        ops = dict.fromkeys(_OP_NAMES, True)
+        return EmbeddingReport(0, True, True, ops, True, True, True, vacuous=True)
+    base = alg.base
+    cf = canonical_frame(alg)
+    frame, filters = cf.frame, cf.filters
+    ca = complex_algebra(frame)
+    k = len(filters)
+
+    h_mask = [
+        sum(1 << i for i, fm in enumerate(filters) if (fm >> a) & 1)
+        for a in range(base.n)
+    ]
+    h = [ca.carrier.index(m) for m in h_mask]
+
+    injective = len(set(h)) == base.n
+    surjective = set(h) == set(range(ca.algebra.n))
+
+    cb = ca.algebra.base
+    ops = {}
+    ops["bottom"] = h[base.bottom] == cb.bottom
+    ops["top"] = h[base.top] == cb.top
+    ok_meet = ok_join = ok_imp = True
+    for a in range(base.n):
+        for b in range(base.n):
+            ok_meet &= h[base.meet[a, b]] == cb.meet[h[a], h[b]]
+            ok_join &= h[base.join[a, b]] == cb.join[h[a], h[b]]
+            ok_imp &= h[base.imp[a, b]] == cb.imp[h[a], h[b]]
+    ops["meet"], ops["join"], ops["imp"] = bool(ok_meet), bool(ok_join), bool(ok_imp)
+    for label in ("dia", "box", "bdia", "bbox"):
+        src, dst = getattr(alg, label), getattr(ca.algebra, label)
+        ops[label] = all(h[int(src[a])] == int(dst[h[a]]) for a in range(base.n))
+
+    def inverse_image(table, fm):
+        return sum(1 << a for a in range(base.n) if (fm >> int(table[a])) & 1)
+
+    bdia_inv = [inverse_image(alg.bdia, fm) for fm in filters]
+    bbox_inv = [inverse_image(alg.bbox, fm) for fm in filters]
+    want_leq_r = np.zeros((k, k), dtype=bool)
+    want_r_geq = np.zeros((k, k), dtype=bool)
+    for i, fi in enumerate(filters):
+        for j in range(k):
+            want_leq_r[i, j] = (fi & ~bdia_inv[j]) == 0
+            want_r_geq[i, j] = (bbox_inv[j] & ~fi) == 0
+    got_leq_r = compose(frame.leq, frame.r)
+    got_r_geq = compose(frame.r, frame.leq.T)
+
+    return EmbeddingReport(
+        filters=k,
+        injective=injective,
+        surjective=surjective,
+        operations=ops,
+        key_lemma_agrees=cf.key_lemma_agrees,
+        connection2_leq_r=bool((got_leq_r == want_leq_r).all()),
+        connection2_r_geq=bool((got_r_geq == want_r_geq).all()),
+    )
 
 
 class TestPrimeFilters:
@@ -194,6 +263,16 @@ class TestEmbedding:
     def test_rejects_core_failures(self):
         with pytest.raises(NotAnH2GCFSAlgebra):
             embedding_check(dunn_separating_algebra())
+
+    def test_matches_loop_oracle(self, h2gc_fs_upto5):
+        assert len(h2gc_fs_upto5) == 807
+        for alg in h2gc_fs_upto5:
+            rep, want = embedding_check(alg), _loop_embedding(alg)
+            assert rep == want, alg
+            assert list(rep.operations) == list(want.operations) == list(_OP_NAMES)
+            # plain Python values, as the CLI's JSON needs
+            flags = (rep.injective, rep.surjective, *rep.operations.values())
+            assert {type(v) for v in flags} == {bool}
 
     FORMULAS = (
         "p",

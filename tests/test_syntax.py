@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -240,6 +242,25 @@ class TestCompile:
         b = parse_formula("F (p -> q) -> G p -> F q")
         assert a == b and a is not b
         assert compile_formula(a) is compile_formula(b)
+
+    @given(st.data())
+    def test_separately_parsed_trees_hash_alike(self, data):
+        text = render_formula(_formulas(4, data))
+        a, b = parse_formula(text), parse_formula(text)
+        shown = repr(a)
+        assert a is not b and hash(a) == hash(b)
+        assert compile_formula(a) is compile_formula(b)
+        # the cached hash is the dataclass hash of the node's fields
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+        assert repr(a) == shown and a == b
+        assert "_hash" not in {f.name for f in dataclasses.fields(a)}
+
+    def test_cached_hash_is_not_pickled(self):
+        f = parse_formula("F (p -> q) -> G p -> F q")
+        hash(f)
+        back = pickle.loads(pickle.dumps(f))
+        assert all("_hash" not in vars(g) for g in iter_subformulas(back))
+        assert back == f and hash(back) == hash(f)
 
     def test_cache_is_bounded(self):
         assert compile_formula.cache_info().maxsize == PROGRAM_CACHE_SIZE
