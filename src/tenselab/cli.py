@@ -475,8 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:
+        # argparse, on Python 3.11 at least, hands "--opt=--" to the command as []
+        option, _, value = arg.partition("=")
+        if option.startswith("--") and value == "--":
+            print(f"error: {option} needs a value other than '--'", file=sys.stderr)
+            return USAGE
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, formats.FormatError, SyntaxIssue, OrderError, ValueError) as e:

@@ -67,7 +67,7 @@ def prime_filters(base: HeytingAlgebra) -> tuple[int, ...]:
     join-irreducible when it is not bottom and the join of everything
     strictly below it is not a itself.
     """
-    ups = base.poset().up_masks()
+    ups = mask_rows(base.leq)
     return tuple(sorted(ups[a] for a in base.join_irreducibles()))
 
 
@@ -158,12 +158,14 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     n = frame.n
     r_rows = mask_rows(frame.r)
     r_cols = mask_rows(frame.r.T)
+    g_rows = mask_rows(frame.leq_r)
+    h_cols = mask_rows(frame.r_up.T)
     dia_t, box_t, bdia_t, bbox_t = [], [], [], []
     for m in carrier:
         dia_m = sum(1 << x for x in range(n) if r_rows[x] & m)
-        box_m = sum(1 << x for x in range(n) if not (frame.g_rows[x] & ~m))
+        box_m = sum(1 << x for x in range(n) if not (g_rows[x] & ~m))
         bdia_m = sum(1 << x for x in range(n) if r_cols[x] & m)
-        bbox_m = sum(1 << x for x in range(n) if not (frame.h_cols[x] & ~m))
+        bbox_m = sum(1 << x for x in range(n) if not (h_cols[x] & ~m))
         dia_t.append(index[dia_m])
         box_t.append(index[box_m])
         bdia_t.append(index[bdia_m])
@@ -250,10 +252,8 @@ def embedding_check(alg: AlgebraWithOps) -> EmbeddingReport:
     # F (R;>=) G iff a in F whenever bbox a is in G
     want_leq_r = ~compose(member, ~member[:, alg.bdia].T)
     want_r_geq = ~compose(~member, member[:, alg.bbox].T)
-    got_leq_r = compose(frame.leq, frame.r)
-    got_r_geq = compose(frame.r, frame.leq.T)
-    connection2_leq_r = bool((got_leq_r == want_leq_r).all())
-    connection2_r_geq = bool((got_r_geq == want_r_geq).all())
+    connection2_leq_r = bool((frame.leq_r == want_leq_r).all())
+    connection2_r_geq = bool((frame.r_up == want_r_geq).all())
 
     return EmbeddingReport(
         filters=k,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .syntax import Formula, MetaVar, Var, parse_schema
+from .syntax import parse_schema
 from .proofs import (
     AxiomStep,
     CheckedProof,
@@ -70,19 +70,6 @@ def script(name, system, theorem, steps, premises=()):
         steps=tuple(steps),
         premises=tuple(parse_schema(p) for p in premises),
     )
-
-
-def ground(f: Formula) -> Formula:
-    """Replace metavariables by propositional variables (A -> a, ...)."""
-    if isinstance(f, MetaVar):
-        return Var(f.name.lower())
-    from .syntax import BINARY_KINDS, UNARY_KINDS
-
-    if isinstance(f, UNARY_KINDS):
-        return type(f)(ground(f.child))
-    if isinstance(f, BINARY_KINDS):
-        return type(f)(ground(f.left), ground(f.right))
-    return f
 
 
 FIXTURES: tuple[ProofScript, ...] = (

@@ -40,6 +40,7 @@ from .syntax import (
     MetaVar,
     Top,
     Var,
+    is_valid_var_name,
     parse_schema,
     render_formula,
 )
@@ -282,7 +283,7 @@ def load_model(doc: Doc) -> Model:
         raise FormatError("model: 'val' must map variables to world lists")
     parsed: dict[str, list[str]] = {}
     for var, worlds in val.items():
-        if not isinstance(var, str) or not var or not var[0].islower():
+        if not isinstance(var, str) or not is_valid_var_name(var):
             raise FormatError(f"model: bad variable name {var!r}")
         if (
             not isinstance(worlds, Sequence)

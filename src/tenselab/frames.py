@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
-from .lattice import Poset, canonical_code, mask_rows, transitive_closure, up_sets
+from .lattice import canonical_code, mask_rows, transitive_closure, up_sets
 from .syntax import (
     And,
     BBox,
@@ -107,8 +107,6 @@ class Frame:
         self.r_up = compose(r, geq)        # for F (rows) and H (columns)
         self.leq_r = compose(leq, r)       # for G (rows) and P (columns)
         self.up_rows = mask_rows(leq)      # up-set of each world
-        self.g_rows = mask_rows(self.leq_r)
-        self.h_cols = mask_rows(self.r_up.T)
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -121,12 +119,9 @@ class Frame:
         dropped before anything asks for their up-sets.
         """
         # up_sets stops at 20 worlds, so every mask fits in 32 bits
-        masks = np.array(up_sets(self.poset()), dtype=np.int32)
+        masks = np.array(up_sets(self.leq), dtype=np.int32)
         masks.flags.writeable = False
         return masks
-
-    def poset(self) -> Poset:
-        return Poset(self.names, self.leq)
 
     def __repr__(self) -> str:
         return f"Frame({self.name or ','.join(self.names)})"
@@ -181,11 +176,9 @@ def _subset_check(frame: Frame, small: np.ndarray, big: np.ndarray) -> Condition
 
 
 def check_ik_frame(frame: Frame) -> IKFrameReport:
-    leq, r = frame.leq, frame.r
-    geq = leq.T
     return IKFrameReport(
-        forward=_subset_check(frame, compose(r, leq), compose(leq, r)),
-        backward=_subset_check(frame, compose(geq, r), compose(r, geq)),
+        forward=_subset_check(frame, compose(frame.r, frame.leq), frame.leq_r),
+        backward=_subset_check(frame, compose(frame.leq.T, frame.r), frame.r_up),
     )
 
 

@@ -10,7 +10,6 @@ corresponding bitwise ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -61,33 +60,19 @@ def transitive_closure(leq: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Finite poset: names plus a reflexive-transitive leq matrix."""
-
-    names: tuple[str, ...]
-    leq: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    def up_masks(self) -> tuple[int, ...]:
-        return mask_rows(self.leq)
-
-
 def mask_rows(rel: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is rel[i, j]."""
     return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in rel.tolist())
 
 
-def up_sets(poset: Poset) -> tuple[int, ...]:
-    """All up-sets of the poset as bitmasks, ascending."""
-    if poset.n > 20:
+def up_sets(leq: np.ndarray) -> tuple[int, ...]:
+    """All up-sets of the preorder leq as bitmasks, ascending."""
+    n = len(leq)
+    if n > 20:
         raise OrderError("up-set enumeration capped at 20 elements")
-    ups = poset.up_masks()
+    ups = mask_rows(leq)
     out = []
-    for mask in range(1 << poset.n):
+    for mask in range(1 << n):
         closure = 0
         rest = mask
         while rest:
@@ -164,9 +149,6 @@ class HeytingAlgebra:
             and self.join_all(b for b in range(self.n) if b != a and self.leq[b, a]) != a
         )
 
-    def poset(self) -> Poset:
-        return Poset(self.names, self.leq)
-
     def __repr__(self) -> str:
         label = self.name or ",".join(self.names)
         return f"HeytingAlgebra({label})"
@@ -239,11 +221,10 @@ def from_order(
 def _least(bound: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least u in order with bound[a, b, u], per (a, b), and where there is none.
 
-    u is least when the whole row bound[a, b] lies above it, i.e. it
-    meets u's up-set in as many cells as it has.
+    The row bound[a, b] is an up-set of order, so a u in it is least
+    exactly when the row has as many cells as u's own up-set.
     """
-    hits = bound.astype(np.int64) @ order.T.astype(np.int64)
-    least = bound & (hits == bound.sum(axis=2, keepdims=True))
+    least = bound & (order.sum(axis=1) == bound.sum(axis=2, keepdims=True))
     return least.argmax(axis=2), ~least.any(axis=2)
 
 
@@ -318,7 +299,7 @@ def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
         for geq in posets:
             k = len(geq)
             rel = np.array([[r >> j & 1 for j in range(k)] for r in geq], dtype=bool)
-            downs = up_sets(Poset(tuple(map(str, range(k))), rel.reshape(k, k)))
+            downs = up_sets(rel.reshape(k, k))
             if len(downs) == n:
                 rows = tuple(
                     sum(1 << j for j, v in enumerate(downs) if u & ~v == 0) for u in downs

@@ -226,44 +226,40 @@ _IK_TENSOR_AXIOMS = frozenset(
 )
 
 
-def _system(name: str, axioms: frozenset[str], rules: frozenset[str]) -> System:
-    return System(name, axioms, rules)
-
-
 SYSTEMS: dict[str, System] = {
     s.name: s
     for s in (
-        _system("Int", _INT_AXIOMS, frozenset({"MP"})),
-        _system("Int2GC", _INT_AXIOMS, frozenset({"MP"}) | _GC_RULES),
-        _system(
+        System("Int", _INT_AXIOMS, frozenset({"MP"})),
+        System("Int2GC", _INT_AXIOMS, frozenset({"MP"}) | _GC_RULES),
+        System(
             "Int2GC+FS",
             _INT_AXIOMS | {"FS1", "FS2"},
             frozenset({"MP"}) | _GC_RULES,
         ),
-        _system(
+        System(
             "Cl2GC+FS",
             _INT_AXIOMS | {"FS1", "FS2", "PEIRCE"},
             frozenset({"MP"}) | _GC_RULES,
         ),
         # single connecting axiom each, for the equivalence scripts
-        _system(
+        System(
             "Int2GC+FS1", _INT_AXIOMS | {"FS1"}, frozenset({"MP"}) | _GC_RULES
         ),
-        _system(
+        System(
             "Int2GC+FS2", _INT_AXIOMS | {"FS2"}, frozenset({"MP"}) | _GC_RULES
         ),
-        _system(
+        System(
             "Int2GC+FS3", _INT_AXIOMS | {"FS3"}, frozenset({"MP"}) | _GC_RULES
         ),
-        _system(
+        System(
             "Int2GC+FS4", _INT_AXIOMS | {"FS4"}, frozenset({"MP"}) | _GC_RULES
         ),
-        _system(
+        System(
             "IK_t",
             _INT_AXIOMS | _EWALD_AXIOMS,
             frozenset({"MP", "RG", "RH"}),
         ),
-        _system(
+        System(
             "IKxIK+BR",
             _INT_AXIOMS | _IK_TENSOR_AXIOMS,
             frozenset({"MP", "RM-F", "RM-G", "RM-P", "RM-H", "RN-G", "RN-H"}),

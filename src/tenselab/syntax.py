@@ -213,9 +213,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif text.startswith("->", i):
             tokens.append(("IMP", "->", i))
             i += 2
-        elif c.isalpha():
-            m = _IDENT_RE.match(text, i)
-            assert m is not None
+        elif (m := _IDENT_RE.match(text, i)) is not None:
             tokens.append(("IDENT", m.group(), i))
             i = m.end()
         else:

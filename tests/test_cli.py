@@ -63,6 +63,11 @@ class TestParse:
         assert code == cli.USAGE
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text, pos", [("é", 0), ("pé", 1)])
+    def test_non_ascii_letter_is_usage_error(self, capsys, text, pos):
+        expected = f"error: unexpected character 'é' at position {pos}\n"
+        assert run(capsys, "parse", text) == (cli.USAGE, "", expected)
+
 
 class TestCheckAlgebra:
     def test_bare_heyting_stock(self, capsys):
@@ -532,6 +537,20 @@ class TestTopLevel:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["eval", "--algebra", "chain3", "--formula=--"], "--formula"),
+            (["eval", "--algebra", "chain3", "--formula", "p", "--set=--"], "--set"),
+            (["validity", "--algebra=--", "--formula", "p"], "--algebra"),
+            (["validity", "--algebra", "chain3", "--formula", "p", "--vars=--"], "--vars"),
+            (["search", "--formula", "p", "--bounds=--"], "--bounds"),
+        ],
+    )
+    def test_double_dash_option_value_is_usage_error(self, capsys, argv, option):
+        expected = f"error: {option} needs a value other than '--'\n"
+        assert run(capsys, *argv) == (cli.USAGE, "", expected)
+
 
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.text("01amw", max_size=2),
@@ -583,17 +602,31 @@ def _malformed(draw, kind):
     return text
 
 
+# formula tokens and pieces of them, with letters and symbols the lexer rejects;
+# no free st.text, which builds a Unicode table on its first run in a checkout
+_FORMULA_TEXT = st.lists(
+    st.sampled_from(
+        ["p", "q", "A", "F", "H", "top", "bot", "dia", " ", "(", ")", "&", "|", "~",
+         "->", "<->", "-", "<", ">", "é", "ß", "Ω", "$", "1", "_"]
+    ),
+    max_size=10,
+).map("".join)
+
+
 class TestMalformedInputFuzz:
-    """Bad documents exit 0, 1 or 2 with a message, never a traceback."""
+    """Bad documents and formulas exit 0, 1 or 2 with a message, never a traceback."""
+
+    @classmethod
+    def _run(cls, path, command, option, as_json, text):
+        path.write_text(text)
+        cls._main([command, *(["--json"] if as_json else []), option, str(path)], as_json)
 
     @staticmethod
-    def _run(path, command, option, as_json, text):
-        path.write_text(text)
-        argv = [command, *(["--json"] if as_json else []), option, str(path)]
+    def _main(argv, as_json):
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        assert code in (cli.OK, cli.FOUND, cli.USAGE), (text, code)
+        assert code in (cli.OK, cli.FOUND, cli.USAGE), (argv, code)
         assert "Traceback" not in err.getvalue()
         if code == cli.USAGE:
             assert err.getvalue().startswith("error: ") and out.getvalue() == ""
@@ -616,12 +649,31 @@ class TestMalformedInputFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz_frame.json"
         self._run(path, "complex", "--frame", as_json, text)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        text=_FORMULA_TEXT,
+        command=st.sampled_from(["parse", "eval", "validity"]),
+        as_json=st.booleans(),
+    )
+    def test_formula_commands(self, text, command, as_json):
+        json_flag = ["--json"] if as_json else []
+        if command == "parse":
+            argv = ["parse", *json_flag, "--", text]
+        else:
+            argv = [command, *json_flag, "--algebra", "chain3", f"--formula={text}"]
+            if command == "eval":
+                argv += ["--set", "p=m", "--set", "q=1"]
+        self._main(argv, as_json)
+
 
 def test_installed_console_script():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["tenselab"]
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "tenselab"
+    assert project["version"] == tenselab.__version__
+    target = project["scripts"]["tenselab"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
 

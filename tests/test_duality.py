@@ -200,7 +200,7 @@ class TestComplexAlgebra:
     def test_carrier_is_up_set_lattice(self, ik_frames_upto3):
         for fr in ik_frames_upto3[:120]:
             res = complex_algebra(fr)
-            assert res.carrier == up_sets(fr.poset())
+            assert res.carrier == up_sets(fr.leq)
             assert res.algebra.laws.all_green
 
     def test_operator_tables_match_truth_sets(self):

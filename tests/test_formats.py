@@ -206,6 +206,12 @@ class TestRejections:
         with pytest.raises(NotUpClosed):
             load_model({**base, "val": {"p": ["w"]}})
 
+    @pytest.mark.parametrize("var", ["top", "dia", "bbox", "p q", "p-1", "pé", ""])
+    def test_model_variable_names(self, var):
+        doc = {"worlds": ["w"], "R": [], "val": {var: ["w"]}}
+        with pytest.raises(FormatError, match=f"model: bad variable name {var!r}"):
+            load_model(doc)
+
     def test_fuzzy_checks(self):
         good = dump_fuzzy(dunn2_failure_instance())
         doc = {**good, "relation": {**good["relation"], "x;y": "a"}}

@@ -11,7 +11,6 @@ from tenselab.lattice import (
     NotAPartialOrder,
     NotDistributive,
     OrderError,
-    Poset,
     canonical_code,
     chain,
     diamond,
@@ -351,31 +350,30 @@ class TestStock:
 
 class TestUpSets:
     def test_chain3_up_sets(self):
-        ups = up_sets(chain(3).poset())
+        ups = up_sets(chain(3).leq)
         assert ups == (0b000, 0b100, 0b110, 0b111)
 
     def test_diamond_up_sets(self):
-        ups = up_sets(diamond().poset())
+        ups = up_sets(diamond().leq)
         assert len(ups) == 6
 
     def test_up_sets_against_definition(self):
         for alg in enumerate_heyting(5):
-            poset = alg.poset()
             expected = [
-                m for m in range(1 << alg.n) if _upward_closed(poset, m)
+                m for m in range(1 << alg.n) if _upward_closed(alg.leq, m)
             ]
-            assert list(up_sets(poset)) == expected
+            assert list(up_sets(alg.leq)) == expected
 
     def test_cap(self):
         with pytest.raises(OrderError):
-            up_sets(chain(21).poset())
+            up_sets(chain(21).leq)
 
 
-def _upward_closed(poset: Poset, mask: int) -> bool:
-    for i in range(poset.n):
+def _upward_closed(leq: np.ndarray, mask: int) -> bool:
+    for i in range(len(leq)):
         if mask >> i & 1:
-            for j in range(poset.n):
-                if poset.leq[i, j] and not mask >> j & 1:
+            for j in range(len(leq)):
+                if leq[i, j] and not mask >> j & 1:
                     return False
     return True
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tenselab.formats import load_proof
 from tenselab.syntax import (
     PROGRAM_CACHE_SIZE,
     And,
@@ -94,6 +95,23 @@ class TestParsing:
     def test_lex_error(self):
         with pytest.raises(LexError):
             parse_formula("p $ q")
+
+    @pytest.mark.parametrize(
+        "parse, text, pos",
+        [
+            (parse_formula, "é", 0),
+            (parse_formula, "pé", 1),
+            (parse_formula, "F é", 2),
+            (parse_schema, "é", 0),
+            (parse_schema, "A -> Aé", 6),
+            (lambda text: load_proof({"system": "Int", "theorem": text, "steps": []}), "A -> é", 5),
+        ],
+    )
+    def test_non_ascii_letter_is_lex_error(self, parse, text, pos):
+        with pytest.raises(LexError) as info:
+            parse(text)
+        assert info.value.pos == pos
+        assert str(info.value) == f"unexpected character 'é' at position {pos}"
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):
