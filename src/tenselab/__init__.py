@@ -18,7 +18,6 @@ from .algebra import (
     algebra_validity,
     attach_ops,
     enumerate_gc_pairs,
-    enumerate_h2gc_fs,
     enumerate_op_combos,
     evaluate,
     identity_expansion,
@@ -87,7 +86,6 @@ __all__ = [
     "embedding_check",
     "enumerate_frames",
     "enumerate_gc_pairs",
-    "enumerate_h2gc_fs",
     "enumerate_heyting",
     "enumerate_op_combos",
     "evaluate",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraWithOps, attach_ops
 from .frames import Frame, check_ik_frame, compose, IKFrameReport
-from .lattice import HeytingAlgebra, from_order, mask_rows
+from .lattice import HeytingAlgebra, check_order_size, from_order, mask_rows
 
 
 class DualityError(ValueError):
@@ -146,6 +146,7 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     if not report.is_ik:
         raise NotAnIKFrame(report)
     carrier = tuple(frame.up_set_masks.tolist())
+    check_order_size(len(carrier))  # before the quadratic inclusion list
     index = {m: i for i, m in enumerate(carrier)}
     names = tuple(_upset_name(frame, m) for m in carrier)
     pairs = []

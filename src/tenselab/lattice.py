@@ -86,6 +86,16 @@ def up_sets(leq: np.ndarray) -> tuple[int, ...]:
 
 # ------------------------------------------------------------ Heyting core
 
+# Carriers past this size are refused: from_order's distributivity and
+# residuation checks build n^3 arrays, about 34 MB at the cap.
+MAX_ORDER_SIZE = 128
+
+
+def check_order_size(n: int) -> None:
+    """Raise OrderError for a carrier of more than MAX_ORDER_SIZE elements."""
+    if n > MAX_ORDER_SIZE:
+        raise OrderError(f"carrier has {n} elements, more than the cap {MAX_ORDER_SIZE}")
+
 
 class HeytingAlgebra:
     """Finite Heyting algebra over a bounded distributive lattice.
@@ -164,7 +174,7 @@ def from_order(
     The reflexive-transitive closure of leq_pairs is taken.  Raises
     NotAPartialOrder / NoBounds / NotALattice / NotDistributive with a
     witness when the data does not describe a bounded distributive
-    lattice.
+    lattice, and OrderError for a carrier past MAX_ORDER_SIZE.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
@@ -172,6 +182,7 @@ def from_order(
     n = len(names)
     if n == 0:
         raise OrderError("carrier must be nonempty")
+    check_order_size(n)
     idx = {s: i for i, s in enumerate(names)}
     rel = np.zeros((n, n), dtype=bool)
     for a, b in leq_pairs:
@@ -322,6 +333,21 @@ def _algebra_from_rows(rows: tuple[int, ...], name: str = "") -> HeytingAlgebra:
     return from_order(names, pairs, name=name)
 
 
+@lru_cache(maxsize=None)
+def _iso_bases(n: int) -> tuple[HeytingAlgebra, ...]:
+    """One algebra per class of _iso_classes(n), built once per process.
+
+    Classes are numbered across sizes from 1 up, so class k of size n is
+    named ha{n}_{k + the number of classes of sizes below n}, whatever
+    bound the caller enumerates to.
+    """
+    first = sum(len(_iso_classes(m)) for m in range(1, n))
+    return tuple(
+        _algebra_from_rows(code, name=f"ha{n}_{first + k}")
+        for k, code in enumerate(_iso_classes(n))
+    )
+
+
 def enumerate_heyting(
     n_max: int, up_to_iso: bool = True
 ) -> Iterator[HeytingAlgebra]:
@@ -331,19 +357,24 @@ def enumerate_heyting(
     labeling); without it every labeled copy of each class on carrier
     0..n-1 appears.  Deterministic order: by size, then canonical code,
     then (labeled mode) leq row masks.
+
+    The up_to_iso bases of each size are built the first time that size
+    is listed and shared afterwards, so every call yields the same
+    objects; their tables are read-only.  Labeled copies are built anew
+    on every call.
     """
     if not 1 <= n_max <= MAX_ENUM_SIZE:
         raise OrderError(f"n_max must be in 1..{MAX_ENUM_SIZE}")
+    if up_to_iso:
+        for n in range(1, n_max + 1):
+            yield from _iso_bases(n)
+        return
     counter = 0
     for n in range(1, n_max + 1):
         for code in _iso_classes(n):
-            if up_to_iso:
-                yield _algebra_from_rows(code, name=f"ha{n}_{counter}")
+            for (rows,) in sorted(set(relabelings(code))):
+                yield _algebra_from_rows(rows, name=f"ha{n}_{counter}")
                 counter += 1
-            else:
-                for (rows,) in sorted(set(relabelings(code))):
-                    yield _algebra_from_rows(rows, name=f"ha{n}_{counter}")
-                    counter += 1
 
 
 # ------------------------------------------------------- stock lattices

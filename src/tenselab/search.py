@@ -12,6 +12,7 @@ golden witnesses stay stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -76,8 +77,8 @@ class SearchBounds:
             raise ValueError("size and variable bounds must be positive")
         if self.max_gc_pairs is not None and self.max_gc_pairs < 1:
             raise ValueError("max_gc_pairs must be positive when given")
-        if self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        if not 0 < self.deadline_seconds < math.inf:  # False for NaN too
+            raise ValueError("deadline_seconds must be finite and positive")
 
 
 DEFAULT_BOUNDS = SearchBounds()

@@ -26,7 +26,6 @@ from tenselab.algebra import (
     check_intermediate_identity,
     dunn_separating_algebra,
     enumerate_gc_pairs,
-    enumerate_h2gc_fs,
     enumerate_op_combos,
     evaluate,
     identity_expansion,
@@ -304,12 +303,47 @@ class TestGrader:
         alg = attach_ops(base, *tables)
         assert _graded(alg.laws) == _scalar_laws(alg)
 
-    def test_stream_matches_attach_ops(self):
-        for alg in enumerate_op_combos(4):
-            alone = attach_ops(alg.base, alg.dia, alg.box, alg.bdia, alg.bbox)
-            assert _graded(alg.laws) == _graded(alone.laws) == _scalar_laws(alg)
+    def test_stream_matches_attach_ops(self, op_combos_upto5, graded_alone_upto5):
+        # with the default cell budget each size-5 base's rows split into
+        # chunks of 9 or 13, the last one short; the scalar checker, slow
+        # at size 5, stops at size 4
+        for alg, alone in zip(op_combos_upto5, graded_alone_upto5, strict=True):
+            assert _graded(alg.laws) == _graded(alone)
+            if alg.n <= 4:
+                assert _graded(alone) == _scalar_laws(alg)
             # the same verdicts and witnesses, in the same key order
-            assert list(alone.laws.verdicts.items()) == list(alg.laws.verdicts.items())
+            assert list(alone.verdicts.items()) == list(alg.laws.verdicts.items())
+
+    @pytest.mark.parametrize("cells", [1, 2600])
+    def test_chunk_boundaries(self, monkeypatch, op_combos_upto5, graded_alone_upto5, cells):
+        # a budget of 1 grades one left row per chunk; 2600 puts whole
+        # size-3 bases in one chunk, splits size-4 bases as 10 + 6 and
+        # 8 + 8 + 4 rows and size-5 bases into 2- or 1-row chunks
+        monkeypatch.setattr(algebra, "GRADE_CELLS", cells)
+        chunks = Counter()
+        two_pair = algebra._two_pair
+
+        def counted(base, d, b):
+            chunks[base.name] += 1
+            return two_pair(base, d, b)
+
+        monkeypatch.setattr(algebra, "_two_pair", counted)
+        stream = list(enumerate_op_combos(5))
+        assert chunks["ha4_3"] == 2 * (16 if cells == 1 else 2)
+        assert chunks["ha5_6"] == 2 * (50 if cells == 1 else 25)
+        for alg, was, alone in zip(stream, op_combos_upto5, graded_alone_upto5, strict=True):
+            assert alg.base is was.base
+            for table in ("dia", "box", "bdia", "bbox"):
+                assert (getattr(alg, table) == getattr(was, table)).all()
+            assert list(alg.laws.verdicts.items()) == list(alone.verdicts.items())
+
+
+@pytest.fixture(scope="module")
+def graded_alone_upto5(op_combos_upto5):
+    """The law report of each combo up to size 5, graded alone by attach_ops."""
+    return [
+        attach_ops(a.base, a.dia, a.box, a.bdia, a.bbox).laws for a in op_combos_upto5
+    ]
 
 
 class TestLazyLaws:
@@ -582,8 +616,8 @@ class TestEnumeration:
             assert alg.laws.h2gc_green
 
     def test_h2gc_fs_counts(self):
-        assert len(enumerate_h2gc_fs(3)) == 11
-        assert len(enumerate_h2gc_fs(4)) == 82
+        assert sum(a.laws.all_green for a in enumerate_op_combos(3)) == 11
+        assert sum(a.laws.all_green for a in enumerate_op_combos(4)) == 82
 
     def test_h2gc_fs_by_size(self, h2gc_fs_upto5):
         by_size = {}
@@ -629,6 +663,35 @@ class TestEnumeration:
         ]
         assert got == want
         assert len(got) < 697
+
+    def test_pair_stacks_built_once(self):
+        stacks = algebra._gc_stacks(4)
+        assert algebra._gc_stacks(4) is stacks
+        for base in enumerate_heyting(4):
+            if base.n < 4:
+                continue
+            lowers, uppers = stacks[base.name]
+            want = enumerate_gc_pairs(base)
+            assert list(zip(map(tuple, lowers.tolist()), map(tuple, uppers.tolist()))) == want
+            for stack in (lowers, uppers):
+                with pytest.raises(ValueError, match="read-only"):
+                    stack[0, 0] = 0
+        alg = next(iter(enumerate_op_combos(4, max_gc_pairs=2)))
+        with pytest.raises(ValueError, match="read-only"):
+            alg.dia[0] = 0
+
+    def test_capped_stream_repeats(self):
+        def listing():
+            out, green = [], 0
+            for alg in enumerate_op_combos(6, 4):
+                tables = (alg.dia, alg.box, alg.bdia, alg.bbox)
+                out.append((alg.base.name, *(tuple(t.tolist()) for t in tables)))
+                green += alg.laws.all_green
+            return out, green
+
+        first, green = listing()
+        assert (len(first), green) == (181, 120)
+        assert listing() == (first, green)
 
     def test_stock_keys(self):
         assert sorted(stock_algebras()) == [

@@ -135,6 +135,25 @@ class TestCheckAlgebra:
             "rhs": False,
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-algebra",),
+            ("eval", "--formula", "p", "--set", "p=e0"),
+            ("validity", "--formula", "p | ~p"),
+        ],
+    )
+    def test_carrier_past_the_cap(self, capsys, tmp_path, argv):
+        # one element past MAX_ORDER_SIZE: refused before any n^3 check
+        names = [f"e{i}" for i in range(129)]
+        path = tmp_path / "chain129.json"
+        path.write_text(
+            json.dumps({"elements": names, "leq": [list(p) for p in zip(names, names[1:])]})
+        )
+        code, out, err = run(capsys, *argv, "--algebra", str(path))
+        assert (code, out) == (cli.USAGE, "")
+        assert err == "error: carrier has 129 elements, more than the cap 128\n"
+
 
 class TestCheckFrame:
     def test_ik_frame(self, capsys):
@@ -297,6 +316,15 @@ class TestDuality:
         alg = formats.load_algebra(doc["algebra"])
         assert isinstance(alg, AlgebraWithOps) and alg.laws.all_green
 
+    def test_complex_past_the_cap(self, capsys, tmp_path):
+        # eight unordered worlds and an empty R: an IK frame with 256 up-sets
+        worlds = [f"w{i}" for i in range(8)]
+        path = tmp_path / "antichain8.json"
+        path.write_text(json.dumps({"worlds": worlds, "leq": [], "R": []}))
+        code, out, err = run(capsys, "complex", "--frame", str(path))
+        assert (code, out) == (cli.USAGE, "")
+        assert err == "error: carrier has 256 elements, more than the cap 128\n"
+
     def test_complex_rejects_non_ik(self, capsys):
         code, out, err = run(capsys, "complex", "--frame", "two_forward")
         assert code == cli.USAGE
@@ -449,6 +477,17 @@ class TestSearch:
         )
         assert code == cli.USAGE
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("search", "--formula", "p -> p"), ("equiv", "--laws-a", "fs1", "--laws-b", "d1")],
+    )
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+    def test_deadline_must_be_finite_and_positive(self, capsys, command, seconds):
+        # a NaN deadline never expires, since every comparison with it is false
+        code, out, err = run(capsys, *command, "--bounds", f"size=2,seconds={seconds}")
+        assert (code, out) == (cli.USAGE, "")
+        assert err == "error: deadline_seconds must be finite and positive\n"
 
     def test_unknown_law(self, capsys):
         code, out, err = run(

@@ -135,6 +135,18 @@ class TestEnumeration:
         for a, b in itertools.combinations(algs, 2):
             assert not _isomorphic(a, b)
 
+    def test_bases_built_once(self):
+        first = list(enumerate_heyting(6))
+        names = [a.name for a in first]
+        again = list(enumerate_heyting(6))
+        assert len(again) == len(first) == 13
+        assert all(a is b for a, b in zip(first, again))
+        assert [a.name for a in again] == names
+        # a name does not depend on the bound the listing stops at
+        assert [a.name for a in enumerate_heyting(4)] == names[:5]
+        assert [a.name for a in enumerate_heyting(7)][:13] == names
+        assert not first[-1].leq.flags.writeable
+
     def test_size_cap(self):
         with pytest.raises(OrderError):
             list(enumerate_heyting(8))

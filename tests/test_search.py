@@ -32,6 +32,11 @@ class TestBounds:
             SearchBounds(deadline_seconds=0)
         assert SearchBounds(max_gc_pairs=None).max_gc_pairs is None
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_deadline_must_be_finite_and_positive(self, seconds):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SearchBounds(deadline_seconds=seconds)
+
     def test_unknown_laws_rejected(self):
         with pytest.raises(ValueError, match="unknown law"):
             find_algebra_countermodel("p", SMALL, laws_required=("gc_dia_bbo",))
