@@ -14,7 +14,6 @@ from .algebra import (
     EXTRA_LAWS,
     LAW_NAMES,
     AlgebraWithOps,
-    adjoint_of,
     algebra_validity,
     attach_ops,
     enumerate_gc_pairs,
@@ -67,7 +66,6 @@ __all__ = [
     "ProofScript",
     "SYSTEMS",
     "SearchBounds",
-    "adjoint_of",
     "algebra_validity",
     "attach_ops",
     "build_fuzzy_algebra",

@@ -27,10 +27,10 @@ relative to this list; see the README mapping table.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,18 +86,6 @@ class CapExceeded(ValueError):
         self.limit = limit
 
 
-class NotJoinPreserving(ValueError):
-    def __init__(self, witness):
-        super().__init__(f"map does not preserve joins: {witness}")
-        self.witness = witness
-
-
-class NotMeetPreserving(ValueError):
-    def __init__(self, witness):
-        super().__init__(f"map does not preserve meets: {witness}")
-        self.witness = witness
-
-
 # ------------------------------------------------------------- structures
 
 
@@ -108,12 +96,6 @@ class LawWitness:
     args: tuple[int, ...]
     lhs: int
     rhs: int
-
-
-@dataclass(frozen=True)
-class LawCheck:
-    holds: bool
-    witness: Optional[LawWitness]
 
 
 # mode: how lhs/rhs relate when the law holds
@@ -152,12 +134,71 @@ H2GC_LAWS: tuple[str, ...] = tuple(
 H2GC_FS_LAWS: tuple[str, ...] = CORE_LAWS
 
 
-@dataclass(frozen=True)
+class LawCheck:
+    """Whether a law holds, and if not, the first place it fails.
+
+    A failing check made by the grader finds its witness on the
+    structure's own tables the first time witness is read, and keeps it.
+    """
+
+    __slots__ = ("holds", "_witness", "_source")
+
+    def __init__(self, holds: bool, witness: Optional[LawWitness] = None, source=None):
+        self.holds = holds
+        self._witness = witness
+        self._source = source  # (base, tables, law) while the witness is unread
+
+    @property
+    def witness(self) -> Optional[LawWitness]:
+        if self._source is not None:
+            self._witness = _witness(*self._source)
+            self._source = None
+        return self._witness
+
+    def __eq__(self, other):
+        if not isinstance(other, LawCheck):
+            return NotImplemented
+        return (self.holds, self.witness) == (other.holds, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.witness))
+
+    def __repr__(self) -> str:
+        return f"LawCheck(holds={self.holds!r}, witness={self.witness!r})"
+
+
+_HOLDS = LawCheck(True)
+
+
+def law_bits(laws: Iterable[str]) -> int:
+    """The verdict bits of some laws: bit i stands for LAW_NAMES[i]."""
+    bits = 0
+    for law in laws:
+        bits |= 1 << LAW_NAMES.index(law)
+    return bits
+
+
+_BIT = {law: law_bits([law]) for law in LAW_NAMES}
+_CORE_BITS = law_bits(CORE_LAWS)
+_H2GC_BITS = law_bits(H2GC_LAWS)
+
+
 class LawReport:
-    verdicts: dict[str, LawCheck]
+    """The verdicts of all 22 laws on one structure.
+
+    bits has bit i set when LAW_NAMES[i] holds; holds, all_green,
+    h2gc_green and failures read nothing else.  verdicts maps each law,
+    in LAW_NAMES order, to its LawCheck.
+    """
+
+    __slots__ = ("bits", "verdicts")
+
+    def __init__(self, bits: int, base: HeytingAlgebra, tables: tuple[np.ndarray, ...]):
+        self.bits = bits
+        self.verdicts: Mapping[str, LawCheck] = _Verdicts(bits, base, tables)
 
     def holds(self, law: str) -> bool:
-        return self.verdicts[law].holds
+        return bool(self.bits & _BIT[law])
 
     def witness(self, law: str) -> Optional[LawWitness]:
         return self.verdicts[law].witness
@@ -165,22 +206,48 @@ class LawReport:
     @property
     def all_green(self) -> bool:
         """Every core law holds (the structure is an H2GC+FS algebra)."""
-        return all(self.verdicts[n].holds for n in CORE_LAWS)
+        return self.bits & _CORE_BITS == _CORE_BITS
 
     @property
     def h2gc_green(self) -> bool:
-        return all(self.verdicts[n].holds for n in H2GC_LAWS)
+        return self.bits & _H2GC_BITS == _H2GC_BITS
 
     def failures(self) -> tuple[str, ...]:
-        return tuple(n for n in LAW_NAMES if not self.verdicts[n].holds)
+        return tuple(n for n in LAW_NAMES if not self.bits & _BIT[n])
+
+
+class _Verdicts(Mapping):
+    """Law name -> LawCheck from verdict bits.  A failing law's check is
+    made when first looked up, and finds its witness on the tables (dia,
+    box, bdia, bbox) when that is first read."""
+
+    __slots__ = ("_bits", "_base", "_tables", "_failing")
+
+    def __init__(self, bits: int, base: HeytingAlgebra, tables: tuple[np.ndarray, ...]):
+        self._bits, self._base, self._tables = bits, base, tables
+        self._failing: dict[str, LawCheck] = {}
+
+    def __getitem__(self, law: str) -> LawCheck:
+        if self._bits & _BIT[law]:
+            return _HOLDS
+        check = self._failing.get(law)
+        if check is None:
+            check = self._failing[law] = LawCheck(False, None, (self._base, self._tables, law))
+        return check
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(LAW_NAMES)
+
+    def __len__(self) -> int:
+        return len(LAW_NAMES)
 
 
 class AlgebraWithOps:
     """A Heyting algebra plus the four unary operator tables.
 
-    laws is the report on all 22 laws.  A caller that has graded the
-    tables already passes it in; otherwise it is graded the first time
-    it is read, and kept.
+    laws is the report on all 22 laws, made the first time it is read,
+    and kept.  A caller that has graded the tables already passes in
+    their verdict bits; otherwise they are graded then.
     """
 
     def __init__(
@@ -190,21 +257,26 @@ class AlgebraWithOps:
         box: np.ndarray,
         bdia: np.ndarray,
         bbox: np.ndarray,
-        laws: Optional[LawReport] = None,
+        bits: Optional[int] = None,
     ):
         self.base = base
         self.dia = dia
         self.box = box
         self.bdia = bdia
         self.bbox = bbox
-        if laws is not None:
-            self.laws = laws
+        self._bits = bits
+        self._laws: Optional[LawReport] = None
 
-    @cached_property
+    @property
     def laws(self) -> LawReport:
-        left = (self.dia[None], self.bbox[None])
-        right = (self.bdia[None], self.box[None])
-        return next(_grade(self.base, left, right))
+        if self._laws is None:
+            bits = self._bits
+            if bits is None:
+                left = (self.dia[None], self.bbox[None])
+                right = (self.bdia[None], self.box[None])
+                ((bits, _),) = next(_grade(self.base, left, right))
+            self._laws = LawReport(bits, self.base, (self.dia, self.box, self.bdia, self.bbox))
+        return self._laws
 
     @property
     def n(self) -> int:
@@ -223,108 +295,96 @@ class AlgebraWithOps:
 
 # --------------------------------------------------------------- grading
 
-_HOLDS = LawCheck(True, None)
+# Each law is a function of a diamond stack d and a box stack b, one
+# table per row, that returns (ok, lhs, rhs): ok has the candidates on
+# its leading axes and the law's arguments on the others, and the
+# compared sides lhs and rhs broadcast to ok's shape.
 
-# The grader's law order: the seven laws of one (dia, bbox) candidate,
-# the same seven for one (bdia, box) candidate, then the four laws that
-# read dia with box and their mirrors that read bdia with bbox.
-_LEFT = ("gc_dia_bbox", "additive_dia", "normal_dia", "multiplicative_bbox",
-         "conormal_bbox", "br1", "br2")
-_RIGHT = ("gc_bdia_box", "additive_bdia", "normal_bdia", "multiplicative_box",
-          "conormal_box", "br3", "br4")
-_FORWARD = ("fs1", "fs2", "d1", "dunn2_dia")
-_BACKWARD = ("fs3", "fs4", "d2", "dunn2_bdia")
-_IN_LAW_ORDER = itemgetter(
-    *((_LEFT + _RIGHT + _FORWARD + _BACKWARD).index(name) for name in LAW_NAMES)
+
+def _eq(lhs, rhs):
+    return lhs == rhs, lhs, rhs
+
+
+def _leq(base: HeytingAlgebra, lhs, rhs):
+    return base.leq[lhs, rhs], lhs, rhs
+
+
+def _adjoint(base, d, b):  # d x <= y  iff  x <= b y
+    below = base.leq[d]
+    above = base.leq.T[b].swapaxes(-1, -2)
+    return below == above, below, above
+
+
+def _round_trip(b, d):  # b(d x) for each row
+    return b[np.arange(len(b))[:, None], d]
+
+
+# The laws of one (diamond, box) pair, on (C, n) stacks: adjunction,
+# additivity and normality of the diamond, multiplicativity and
+# conormality of the box, the two round trips.
+_ONE_PAIR = (
+    _adjoint,
+    lambda base, d, b: _eq(d[:, base.join], base.join[d[:, :, None], d[:, None, :]]),
+    lambda base, d, b: _eq(d[:, base.bottom], base.bottom),
+    lambda base, d, b: _eq(b[:, base.meet], base.meet[b[:, :, None], b[:, None, :]]),
+    lambda base, d, b: _eq(b[:, base.top], base.top),
+    lambda base, d, b: _leq(base, np.arange(base.n), _round_trip(b, d)),
+    lambda base, d, b: _leq(base, _round_trip(d, b), np.arange(base.n)),
+)
+# The laws reading a diamond with the box of the other pair: the two
+# Fischer Servi laws, the Dunn meet law and the Dunn join law.  The
+# stacks may have more leading axes, which broadcast: (c, 1, n) against
+# (1, P, n) grades c * P candidates.
+_TWO_PAIR = (
+    lambda base, d, b: _leq(base, d[..., base.imp], base.imp[b[..., :, None], d[..., None, :]]),
+    lambda base, d, b: _leq(base, base.imp[d[..., :, None], b[..., None, :]], b[..., base.imp]),
+    lambda base, d, b: _leq(base, base.meet[d[..., :, None], b[..., None, :]], d[..., base.meet]),
+    lambda base, d, b: _leq(base, b[..., base.join], base.join[b[..., :, None], d[..., None, :]]),
 )
 
-
-def _verdicts(ok: np.ndarray, lhs: np.ndarray, rhs) -> list[LawCheck]:
-    """One verdict per candidate on ok's leading axis.
-
-    The other axes are the law's arguments.  A failing candidate's
-    witness is its first failing argument tuple in row-major order, with
-    both sides there; lhs and rhs broadcast to ok's shape.
-    """
-    count, shape = ok.shape[0], ok.shape[1:]
-    flat = ok.reshape(count, -1)
-    held = flat.all(axis=1)
-    out = [_HOLDS] * count
-    if held.all():
-        return out
-    bad = np.flatnonzero(~held)
-    at = np.unravel_index(flat[bad].argmin(axis=1), shape) if shape else ()
-    lw, rw = (
-        np.broadcast_to(side, ok.shape)[(bad, *at)].astype(np.int64).tolist()
-        for side in (lhs, rhs)
-    )
-    args = zip(*(axis.tolist() for axis in at)) if shape else itertools.repeat(())
-    made: dict[tuple, LawCheck] = {}  # candidates failing alike share one verdict
-    for c, key in zip(bad.tolist(), zip(args, lw, rw)):
-        check = made.get(key)
-        if check is None:
-            check = made[key] = LawCheck(False, LawWitness(*key))
-        out[c] = check
-    return out
+# Law name -> (law, index of d, index of b) in the tables (dia, box, bdia,
+# bbox), in the grader's law order: the one-pair laws of (dia, bbox),
+# the same of (bdia, box), then the two-pair laws of dia with box and
+# of bdia with bbox.
+_LAWS = {
+    **dict(zip(
+        ("gc_dia_bbox", "additive_dia", "normal_dia", "multiplicative_bbox",
+         "conormal_bbox", "br1", "br2"),
+        ((law, 0, 3) for law in _ONE_PAIR))),
+    **dict(zip(
+        ("gc_bdia_box", "additive_bdia", "normal_bdia", "multiplicative_box",
+         "conormal_box", "br3", "br4"),
+        ((law, 2, 1) for law in _ONE_PAIR))),
+    **dict(zip(("fs1", "fs2", "d1", "dunn2_dia"), ((law, 0, 1) for law in _TWO_PAIR))),
+    **dict(zip(("fs3", "fs4", "d2", "dunn2_bdia"), ((law, 2, 3) for law in _TWO_PAIR))),
+}
+# the verdict bit of each row of a chunk's verdict matrix
+_ROW_BITS = np.array([_BIT[law] for law in _LAWS], dtype=np.int64)
 
 
-def _one_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> list[list[LawCheck]]:
-    """The laws of (diamond, box) candidates d[c], b[c], in the order of
-    _LEFT: adjunction, additivity and normality of the diamond,
-    multiplicativity and conormality of the box, the two round trips."""
-    leq, join, meet = base.leq, base.join, base.meet
-    ar = np.arange(base.n)
-
-    def eq(lhs, rhs):
-        return _verdicts(lhs == rhs, lhs, rhs)
-
-    below = leq[d[:, :, None], ar]  # d x <= y
-    above = leq[ar[:, None], b[:, None, :]]  # x <= b y
-    box_dia = np.take_along_axis(b, d, axis=1)
-    dia_box = np.take_along_axis(d, b, axis=1)
-    return [
-        _verdicts(below == above, below, above),
-        eq(d[:, join], join[d[:, :, None], d[:, None, :]]),
-        eq(d[:, base.bottom], base.bottom),
-        eq(b[:, meet], meet[b[:, :, None], b[:, None, :]]),
-        eq(b[:, base.top], base.top),
-        _verdicts(leq[ar, box_dia], ar, box_dia),
-        _verdicts(leq[dia_box, ar], dia_box, ar),
-    ]
+def _one_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one-pair verdicts of (C, n) stacks: one row per law, one
+    column per candidate."""
+    return np.array([law(base, d, b)[0].reshape(len(d), -1).all(axis=1) for law in _ONE_PAIR])
 
 
-def _two_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> list[list[LawCheck]]:
-    """The laws reading a diamond d with the box b of the other pair, in
-    the order of _FORWARD (dia with box) or _BACKWARD (bdia with bbox).
-    d[c] and b[c] are candidate c's tables; either may instead be a
-    single row that every candidate shares."""
-    leq, join, meet, imp = base.leq, base.join, base.meet, base.imp
-
-    def leq_law(lhs, rhs):
-        return _verdicts(leq[lhs, rhs], lhs, rhs)
-
-    dx, dy, bx, by = d[:, :, None], d[:, None, :], b[:, :, None], b[:, None, :]
-    return [
-        leq_law(d[:, imp], imp[bx, dy]),
-        leq_law(imp[dx, by], b[:, imp]),
-        leq_law(meet[dx, by], d[:, meet]),
-        leq_law(b[:, join], join[bx, dy]),
-    ]
+def _two_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The two-pair verdicts, one row per law with the candidates on the
+    other axes: (4, c, P) for (c, 1, n) stacks against (1, P, n) ones."""
+    return np.array([law(base, d, b)[0].all(axis=(-2, -1)) for law in _TWO_PAIR])
 
 
-def _by_pairs(dias, bboxes, bdias, boxes) -> tuple[np.ndarray, ...]:
-    """The tables of every (left, right) pair of candidates, one row per
-    pair with the left index outermost.  A single left candidate is left
-    as one row, which broadcasts against the right stack: repeating it
-    would gather every left-side table P times over, which made the
-    uncapped size-7 bases, graded one row per chunk, about 25% slower."""
-    c, p = len(dias), len(bdias)
-    if c == 1:
-        return dias, bboxes, bdias, boxes
-    return (
-        np.repeat(dias, p, axis=0), np.repeat(bboxes, p, axis=0),
-        np.tile(bdias, (c, 1)), np.tile(boxes, (c, 1)),
-    )
+def _witness(base: HeytingAlgebra, tables: tuple[np.ndarray, ...], law: str) -> LawWitness:
+    """Where a law fails on one structure: its first failing argument
+    tuple in row-major order, with both sides there.  These are the
+    structure's own law arrays, so the witness does not depend on the
+    chunk the structure was graded in."""
+    grade, d, b = _LAWS[law]
+    ok, lhs, rhs = grade(base, tables[d][None], tables[b][None])
+    at = int(ok.argmin())
+    zero = np.zeros(ok.shape, dtype=np.int64)  # broadcasts either side to ok's shape
+    lw, rw = (int((side + zero).flat[at]) for side in (lhs, rhs))
+    return LawWitness(tuple(map(int, np.unravel_index(at, ok.shape[1:]))), lw, rw)
 
 
 # Cells per two-pair law array: _grade pairs as many left candidates with
@@ -336,30 +396,44 @@ def _grade(
     base: HeytingAlgebra,
     left: tuple[np.ndarray, np.ndarray],
     right: tuple[np.ndarray, np.ndarray],
-) -> Iterator[LawReport]:
-    """Law reports of every (left, right) candidate, left index outermost.
+) -> Iterator[Iterator[tuple[int, tuple[int, int]]]]:
+    """Verdict bits of every (left, right) candidate, a chunk at a time.
 
     left stacks (dia, bbox) candidates and right stacks (bdia, box)
-    candidates, one table per row.  The fourteen laws that read one
-    side are graded once per candidate.  The eight that read both sides
-    are graded a chunk at a time: c left candidates against all P right
-    ones, as c * P candidates, with c as large as keeps each law's
-    array of c * P * n * n cells within GRADE_CELLS.  A chunk is graded
-    when its first report is asked for.
+    candidates, one table per row.  Each chunk yields (bits, (i, k)) for
+    the candidate of left row i and right row k, left index outermost
+    (see law_bits for the bits).  The fourteen laws that read one side
+    are graded once per candidate, with the first chunk read.  The eight
+    that read both sides are graded a chunk at a time: c left candidates
+    against all P right ones, as c * P candidates, with c as large as
+    keeps each law's array of c * P * n * n cells within GRADE_CELLS.  A
+    chunk is graded when it is first read, into a bool matrix with one
+    row per law and one column per candidate; chunks may be read in any
+    order, or not at all.
     """
     dias, bboxes = left
     bdias, boxes = right
-    lefts = list(zip(*_one_pair(base, dias, bboxes)))
-    rights = list(zip(*_one_pair(base, bdias, boxes)))
-    step = max(1, GRADE_CELLS // (len(bdias) * base.n * base.n))
+    p = len(bdias)
+
+    @lru_cache(maxsize=None)
+    def one_pair() -> tuple[np.ndarray, np.ndarray]:
+        both = _one_pair(base, np.concatenate([dias, bdias]), np.concatenate([bboxes, boxes]))
+        return both[:, : len(dias)], both[:, len(dias) :]
+
+    def chunk(start: int, stop: int) -> Iterator[tuple[int, tuple[int, int]]]:
+        lefts, rights = one_pair()
+        dia, bbox = dias[start:stop, None], bboxes[start:stop, None]
+        held = np.empty((len(_LAWS), stop - start, p), dtype=bool)  # rows in _LAWS order
+        held[:7] = lefts[:, start:stop, None]
+        held[7:14] = rights[:, None, :]
+        held[14:18] = _two_pair(base, dia, boxes[None])
+        held[18:] = _two_pair(base, bdias[None], bbox)
+        bits = (_ROW_BITS @ held.reshape(len(_LAWS), -1)).tolist()
+        yield from zip(bits, itertools.product(range(start, stop), range(p)))
+
+    step = max(1, GRADE_CELLS // (p * base.n * base.n))
     for start in range(0, len(dias), step):
-        rows = slice(start, start + step)
-        dia, bbox, bdia, box = _by_pairs(dias[rows], bboxes[rows], bdias, boxes)
-        forward = _two_pair(base, dia, box)
-        backward = _two_pair(base, bdia, bbox)
-        candidates = itertools.product(lefts[rows], rights)
-        for (own, other), fw, bw in zip(candidates, zip(*forward), zip(*backward)):
-            yield LawReport(dict(zip(LAW_NAMES, _IN_LAW_ORDER(own + other + fw + bw))))
+        yield chunk(start, min(start + step, len(dias)))
 
 
 def _frozen(tables) -> np.ndarray:
@@ -393,59 +467,6 @@ def attach_ops(
 
 
 # ----------------------------------------------------------- adjunctions
-
-
-def _is_additive(base: HeytingAlgebra, f: np.ndarray) -> Optional[tuple]:
-    if f[base.bottom] != base.bottom:
-        return (base.bottom,)
-    for a in range(base.n):
-        for b in range(base.n):
-            if f[base.join[a, b]] != base.join[f[a], f[b]]:
-                return (a, b)
-    return None
-
-
-def _is_multiplicative(base: HeytingAlgebra, f: np.ndarray) -> Optional[tuple]:
-    if f[base.top] != base.top:
-        return (base.top,)
-    for a in range(base.n):
-        for b in range(base.n):
-            if f[base.meet[a, b]] != base.meet[f[a], f[b]]:
-                return (a, b)
-    return None
-
-
-def adjoint_of(base: HeytingAlgebra, f: Sequence[int], side: str) -> tuple[int, ...]:
-    """Residual of a unary table on a finite Heyting algebra.
-
-    side="lower": f must preserve joins and bottom; returns the unique g
-    with f -| g.  side="upper": f must preserve meets and top; returns
-    the unique g with g -| f.
-    """
-    arr = np.asarray(list(f), dtype=np.int64)
-    if side == "lower":
-        bad = _is_additive(base, arr)
-        if bad is not None:
-            raise NotJoinPreserving(tuple(base.names[i] for i in bad))
-        out = []
-        for b in range(base.n):
-            out.append(base.join_all(a for a in range(base.n) if base.leq[arr[a], b]))
-        g = tuple(out)
-        for b in range(base.n):
-            assert base.leq[arr[g[b]], b], "residual failed its defining property"
-        return g
-    if side == "upper":
-        bad = _is_multiplicative(base, arr)
-        if bad is not None:
-            raise NotMeetPreserving(tuple(base.names[i] for i in bad))
-        out = []
-        for a in range(base.n):
-            out.append(base.meet_all(b for b in range(base.n) if base.leq[a, arr[b]]))
-        g = tuple(out)
-        for a in range(base.n):
-            assert base.leq[a, arr[g[a]]], "residual failed its defining property"
-        return g
-    raise ValueError("side must be 'lower' or 'upper'")
 
 
 def enumerate_gc_pairs(base: HeytingAlgebra) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -689,6 +710,19 @@ def _gc_stacks(n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return stacks
 
 
+def _graded_chunks(n_max: int, max_gc_pairs: Optional[int]) -> Iterator[tuple]:
+    """The combo stream a chunk at a time.
+
+    Each item is (base, lowers, uppers, combos), where combos yields
+    (bits, (i, k)) for the combo whose pairs are (lowers[i], uppers[i])
+    and (lowers[k], uppers[k]), and grades the chunk when first read.
+    """
+    for base in enumerate_heyting(n_max):
+        lowers, uppers = (s[:max_gc_pairs] for s in _gc_stacks(base.n)[base.name])
+        for combos in _grade(base, (lowers, uppers), (lowers, uppers)):
+            yield base, lowers, uppers, combos
+
+
 def enumerate_op_combos(
     n_max: int, max_gc_pairs: Optional[int] = None
 ) -> Iterator[AlgebraWithOps]:
@@ -702,8 +736,6 @@ def enumerate_op_combos(
     other call in the process (see enumerate_heyting); the first call
     to reach a size builds them.
     """
-    for base in enumerate_heyting(n_max):
-        lowers, uppers = (s[:max_gc_pairs] for s in _gc_stacks(base.n)[base.name])
-        reports = _grade(base, (lowers, uppers), (lowers, uppers))
-        for (i, k), laws in zip(itertools.product(range(len(lowers)), repeat=2), reports):
-            yield AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], laws)
+    for base, lowers, uppers, combos in _graded_chunks(n_max, max_gc_pairs):
+        for bits, (i, k) in combos:
+            yield AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], bits)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import AlgebraWithOps, attach_ops
 from .frames import Frame, check_ik_frame, compose, IKFrameReport
-from .lattice import HeytingAlgebra, check_order_size, from_order, mask_rows
+from .lattice import MAX_ORDER_SIZE, HeytingAlgebra, check_order_size, from_order, mask_rows, up_sets
 
 
 class DualityError(ValueError):
@@ -145,8 +145,10 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     report = check_ik_frame(frame)
     if not report.is_ik:
         raise NotAnIKFrame(report)
-    carrier = tuple(frame.up_set_masks.tolist())
-    check_order_size(len(carrier))  # before the quadratic inclusion list
+    # the listing stops once it passes the cap, before the quadratic
+    # inclusion list and without trying every world mask of a large frame
+    carrier = up_sets(frame.leq, stop=MAX_ORDER_SIZE + 1)
+    check_order_size(len(carrier), at_least=True)
     index = {m: i for i, m in enumerate(carrier)}
     names = tuple(_upset_name(frame, m) for m in carrier)
     pairs = []
@@ -231,7 +233,7 @@ def embedding_check(alg: AlgebraWithOps) -> EmbeddingReport:
     # h(a) as a world mask; complex_algebra has capped the worlds at 20
     h_mask = (member.T.astype(np.int64) << np.arange(k)).sum(axis=1)
     # the carrier lists every up-set in ascending order, and each h(a) is one
-    h = np.searchsorted(frame.up_set_masks, h_mask)
+    h = np.searchsorted(ca.carrier, h_mask)
 
     image = len(set(h.tolist()))  # np.unique imports numpy.ma, about 0.5 MB, on first use
     injective = image == base.n

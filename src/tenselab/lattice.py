@@ -65,8 +65,10 @@ def mask_rows(rel: np.ndarray) -> tuple[int, ...]:
     return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in rel.tolist())
 
 
-def up_sets(leq: np.ndarray) -> tuple[int, ...]:
-    """All up-sets of the preorder leq as bitmasks, ascending."""
+def up_sets(leq: np.ndarray, stop: Optional[int] = None) -> tuple[int, ...]:
+    """All up-sets of the preorder leq as bitmasks, ascending; with stop,
+    only the first stop of them, found without trying the masks past the
+    last one."""
     n = len(leq)
     if n > 20:
         raise OrderError("up-set enumeration capped at 20 elements")
@@ -81,6 +83,8 @@ def up_sets(leq: np.ndarray) -> tuple[int, ...]:
             rest &= rest - 1
         if closure == mask:
             out.append(mask)
+            if len(out) == stop:
+                break
     return tuple(out)
 
 
@@ -91,10 +95,12 @@ def up_sets(leq: np.ndarray) -> tuple[int, ...]:
 MAX_ORDER_SIZE = 128
 
 
-def check_order_size(n: int) -> None:
-    """Raise OrderError for a carrier of more than MAX_ORDER_SIZE elements."""
+def check_order_size(n: int, at_least: bool = False) -> None:
+    """Raise OrderError for a carrier of more than MAX_ORDER_SIZE elements;
+    at_least says n counts only the elements listed so far."""
     if n > MAX_ORDER_SIZE:
-        raise OrderError(f"carrier has {n} elements, more than the cap {MAX_ORDER_SIZE}")
+        has = f"at least {n}" if at_least else n
+        raise OrderError(f"carrier has {has} elements, more than the cap {MAX_ORDER_SIZE}")
 
 
 class HeytingAlgebra:

@@ -25,10 +25,11 @@ from .algebra import (
     CapExceeded,
     EvalError,
     ModalOperatorPresent,
+    _graded_chunks,
     algebra_validity,
-    enumerate_op_combos,
     evaluate,
     identity_expansion,
+    law_bits,
     valuation_names,
 )
 from .lattice import HeytingAlgebra, enumerate_heyting
@@ -165,21 +166,33 @@ def _scan_combos(
     ambient: Sequence[str],
     judge: Callable[[AlgebraWithOps], Optional[object]],
 ) -> Verdict:
-    # walk the combo stream; judge sees each structure whose ambient laws
-    # hold and returns a witness to stop the scan, or None to go on
+    # walk the combo stream a chunk at a time; judge sees each structure
+    # whose ambient laws hold and returns a witness to stop the scan, or
+    # None to go on.  Only those structures are built, and the clock is
+    # read before each chunk is graded and before each combo.
     clock = _Clock(bounds.deadline_seconds)
+    need = law_bits(ambient)
     combos = eligible = 0
-    for alg in enumerate_op_combos(bounds.max_algebra_size, bounds.max_gc_pairs):
+
+    def verdict(status: str, witness: Optional[object] = None) -> Verdict:
+        return Verdict(status, witness, _stats(clock, combos=combos, eligible=eligible))
+
+    for base, lowers, uppers, graded in _graded_chunks(
+        bounds.max_algebra_size, bounds.max_gc_pairs
+    ):
         if clock.expired():
-            return Verdict("timeout", None, _stats(clock, combos=combos, eligible=eligible))
-        combos += 1
-        if not all(alg.laws.holds(law) for law in ambient):
-            continue
-        eligible += 1
-        witness = judge(alg)
-        if witness is not None:
-            return Verdict("found", witness, _stats(clock, combos=combos, eligible=eligible))
-    return Verdict("exhausted", None, _stats(clock, combos=combos, eligible=eligible))
+            return verdict("timeout")
+        for bits, (i, k) in graded:  # the first read grades the chunk
+            if clock.expired():
+                return verdict("timeout")
+            combos += 1
+            if bits & need != need:
+                continue
+            eligible += 1
+            witness = judge(AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], bits))
+            if witness is not None:
+                return verdict("found", witness)
+    return verdict("exhausted")
 
 
 def find_algebra_countermodel(

@@ -17,10 +17,9 @@ from tenselab.algebra import (
     CapExceeded,
     EvalError,
     ModalOperatorPresent,
-    NotJoinPreserving,
-    NotMeetPreserving,
+    LawCheck,
+    LawWitness,
     UnboundVariable,
-    adjoint_of,
     algebra_validity,
     attach_ops,
     check_intermediate_identity,
@@ -75,6 +74,110 @@ def _brute_gc_pairs(base):
             g[(below_b == base.leq[:, c]).all(axis=1), b] = c
     keep = (g >= 0).all(axis=1)
     return [(tuple(f), tuple(r)) for f, r in zip(fs[keep].tolist(), g[keep].tolist())]
+
+
+class NotJoinPreserving(ValueError):
+    pass
+
+
+class NotMeetPreserving(ValueError):
+    pass
+
+
+def _is_additive(base, f):
+    if f[base.bottom] != base.bottom:
+        return (base.bottom,)
+    for a in range(base.n):
+        for b in range(base.n):
+            if f[base.join[a, b]] != base.join[f[a], f[b]]:
+                return (a, b)
+    return None
+
+
+def _is_multiplicative(base, f):
+    if f[base.top] != base.top:
+        return (base.top,)
+    for a in range(base.n):
+        for b in range(base.n):
+            if f[base.meet[a, b]] != base.meet[f[a], f[b]]:
+                return (a, b)
+    return None
+
+
+def adjoint_of(base, f, side):
+    """Residual of a unary table, by loops over the definition.
+
+    side="lower": f must preserve joins and bottom; returns the unique g
+    with f -| g.  side="upper": f must preserve meets and top; returns
+    the unique g with g -| f.
+    """
+    arr = np.asarray(list(f), dtype=np.int64)
+    if side == "lower":
+        bad = _is_additive(base, arr)
+        if bad is not None:
+            raise NotJoinPreserving(tuple(base.names[i] for i in bad))
+        g = tuple(
+            base.join_all(a for a in range(base.n) if base.leq[arr[a], b]) for b in range(base.n)
+        )
+        assert all(base.leq[arr[g[b]], b] for b in range(base.n))
+        return g
+    if side == "upper":
+        bad = _is_multiplicative(base, arr)
+        if bad is not None:
+            raise NotMeetPreserving(tuple(base.names[i] for i in bad))
+        g = tuple(
+            base.meet_all(b for b in range(base.n) if base.leq[a, arr[b]]) for a in range(base.n)
+        )
+        assert all(base.leq[a, arr[g[a]]] for a in range(base.n))
+        return g
+    raise ValueError("side must be 'lower' or 'upper'")
+
+
+def _verdicts(ok, lhs, rhs):
+    """One eager verdict per candidate on ok's leading axis.
+
+    The other axes are the law's arguments.  A failing candidate's
+    witness is its first failing argument tuple in row-major order, with
+    both sides there; lhs and rhs broadcast to ok's shape.  This is how
+    the grader made every witness up front before it kept only verdict
+    bits and found witnesses when read.
+    """
+    count, shape = ok.shape[0], ok.shape[1:]
+    flat = ok.reshape(count, -1)
+    out = [LawCheck(True, None)] * count
+    bad = np.flatnonzero(~flat.all(axis=1))
+    if not len(bad):
+        return out
+    at = np.unravel_index(flat[bad].argmin(axis=1), shape) if shape else ()
+    lw, rw = (
+        np.broadcast_to(side, ok.shape)[(bad, *at)].astype(np.int64).tolist()
+        for side in (lhs, rhs)
+    )
+    args = zip(*(axis.tolist() for axis in at)) if shape else itertools.repeat(())
+    for c, a, l, r in zip(bad.tolist(), args, lw, rw):
+        out[c] = LawCheck(False, LawWitness(a, l, r))
+    return out
+
+
+def _eager_verdicts(n_max, max_gc_pairs=None):
+    """Every combo's list(verdicts.items()), in stream order, graded
+    eagerly: each base's P * P combos as one stack per table."""
+    out = []
+    for base in enumerate_heyting(n_max):
+        pairs = enumerate_gc_pairs(base)[:max_gc_pairs]
+        lowers, uppers = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        p = len(pairs)
+        # combo (i, k) has dia = lowers[i], box = uppers[k], bdia = lowers[k], bbox = uppers[i]
+        tables = (
+            np.repeat(lowers, p, axis=0), np.tile(uppers, (p, 1)),
+            np.tile(lowers, (p, 1)), np.repeat(uppers, p, axis=0),
+        )
+        columns = []
+        for law in LAW_NAMES:
+            grade, d, b = algebra._LAWS[law]
+            columns.append(_verdicts(*grade(base, tables[d], tables[b])))
+        out.extend(list(zip(LAW_NAMES, row)) for row in zip(*columns))
+    return out
 
 
 def _scalar_laws(alg):
@@ -308,14 +411,33 @@ class TestGrader:
         # chunks of 9 or 13, the last one short; the scalar checker, slow
         # at size 5, stops at size 4
         for alg, alone in zip(op_combos_upto5, graded_alone_upto5, strict=True):
-            assert _graded(alg.laws) == _graded(alone)
+            assert alg.laws.bits == alone.bits
             if alg.n <= 4:
-                assert _graded(alone) == _scalar_laws(alg)
-            # the same verdicts and witnesses, in the same key order
-            assert list(alone.verdicts.items()) == list(alg.laws.verdicts.items())
+                assert _graded(alg.laws) == _scalar_laws(alg)
+
+    def test_witnesses_on_read_match_eager_grading(self, op_combos_upto5, eager_upto5):
+        # every witness found on demand, in LAW_NAMES order
+        for alg, eager in zip(op_combos_upto5, eager_upto5, strict=True):
+            assert list(alg.laws.verdicts.items()) == eager
+
+    def test_capped_stream_matches_eager_grading(self):
+        stream = [list(alg.laws.verdicts.items()) for alg in enumerate_op_combos(6, 4)]
+        assert stream == _eager_verdicts(6, 4)
+
+    def test_chunks_read_in_any_order(self, op_combos_upto5):
+        # each chunk carries its own pair indices, so reading the chunks
+        # backwards, each once, gives the stream's combos backwards
+        read = []
+        for base, lowers, uppers, combos in reversed(list(algebra._graded_chunks(5, None))):
+            for bits, (i, k) in reversed(list(combos)):
+                read.append((base, bits, lowers[i], uppers[k], lowers[k], uppers[i]))
+        for (base, bits, *tables), was in zip(read[::-1], op_combos_upto5, strict=True):
+            assert base is was.base and bits == was.laws.bits
+            for table, got in zip(("dia", "box", "bdia", "bbox"), tables):
+                assert (got == getattr(was, table)).all()
 
     @pytest.mark.parametrize("cells", [1, 2600])
-    def test_chunk_boundaries(self, monkeypatch, op_combos_upto5, graded_alone_upto5, cells):
+    def test_chunk_boundaries(self, monkeypatch, op_combos_upto5, eager_upto5, cells):
         # a budget of 1 grades one left row per chunk; 2600 puts whole
         # size-3 bases in one chunk, splits size-4 bases as 10 + 6 and
         # 8 + 8 + 4 rows and size-5 bases into 2- or 1-row chunks
@@ -331,11 +453,12 @@ class TestGrader:
         stream = list(enumerate_op_combos(5))
         assert chunks["ha4_3"] == 2 * (16 if cells == 1 else 2)
         assert chunks["ha5_6"] == 2 * (50 if cells == 1 else 25)
-        for alg, was, alone in zip(stream, op_combos_upto5, graded_alone_upto5, strict=True):
+        for alg, was, eager in zip(stream, op_combos_upto5, eager_upto5, strict=True):
             assert alg.base is was.base
             for table in ("dia", "box", "bdia", "bbox"):
                 assert (getattr(alg, table) == getattr(was, table)).all()
-            assert list(alg.laws.verdicts.items()) == list(alone.verdicts.items())
+            assert alg.laws.bits == was.laws.bits
+            assert list(alg.laws.verdicts.items()) == eager
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +467,52 @@ def graded_alone_upto5(op_combos_upto5):
     return [
         attach_ops(a.base, a.dia, a.box, a.bdia, a.bbox).laws for a in op_combos_upto5
     ]
+
+
+@pytest.fixture(scope="module")
+def eager_upto5():
+    return _eager_verdicts(5)
+
+
+class TestWitnessOnRead:
+    @pytest.fixture
+    def found(self, monkeypatch):
+        """The law of every call to the witness builder, in call order."""
+        calls = []
+        witness = algebra._witness
+
+        def counted(base, tables, law):
+            calls.append(law)
+            return witness(base, tables, law)
+
+        monkeypatch.setattr(algebra, "_witness", counted)
+        return calls
+
+    @staticmethod
+    def _read_bits(report):
+        for law in LAW_NAMES:
+            assert report.verdicts[law].holds == report.holds(law)
+        return report.all_green, report.h2gc_green, report.failures()
+
+    def test_stream_verdicts_find_no_witness(self, found):
+        green = sum(self._read_bits(alg.laws)[0] for alg in enumerate_op_combos(5))
+        assert green == 807
+        assert found == []
+
+    def test_attach_ops_verdicts_find_no_witness(self, found, graded_alone_upto5):
+        fresh = [identity_expansion(chain(3)), dunn_separating_algebra()]
+        for report in [*graded_alone_upto5, *(alg.laws for alg in fresh)]:
+            self._read_bits(report)
+        assert found == []
+
+    def test_witness_found_once_when_read(self, found):
+        report = dunn_separating_algebra().laws
+        check = report.verdicts["d1"]
+        assert found == []
+        assert check.witness == report.witness("d1") == check.witness
+        assert found == ["d1"]
+        assert report.witness("gc_dia_bbox") is None
+        assert found == ["d1"]
 
 
 class TestLazyLaws:

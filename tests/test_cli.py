@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tenselab
-from tenselab import cli, formats
+from tenselab import cli, duality, formats, frames
 from tenselab.algebra import AlgebraWithOps
 from tenselab.syntax import parse_formula
 
@@ -323,7 +323,27 @@ class TestDuality:
         path.write_text(json.dumps({"worlds": worlds, "leq": [], "R": []}))
         code, out, err = run(capsys, "complex", "--frame", str(path))
         assert (code, out) == (cli.USAGE, "")
-        assert err == "error: carrier has 256 elements, more than the cap 128\n"
+        assert err == "error: carrier has at least 129 elements, more than the cap 128\n"
+
+    def test_complex_stops_listing_at_the_cap(self, capsys, tmp_path, monkeypatch):
+        # 18 unordered worlds have 2^18 up-sets; the listing stops at the
+        # 129th, mask 128, and the frame's full listing is never made
+        worlds = [f"w{i}" for i in range(18)]
+        path = tmp_path / "antichain18.json"
+        path.write_text(json.dumps({"worlds": worlds, "leq": [], "R": []}))
+        listed = []
+        up_sets = duality.up_sets
+
+        def counted(leq, stop=None):
+            listed.append(up_sets(leq, stop))
+            return listed[-1]
+
+        monkeypatch.setattr(duality, "up_sets", counted)
+        monkeypatch.setattr(frames, "up_sets", None)
+        code, out, err = run(capsys, "complex", "--frame", str(path))
+        assert (code, out) == (cli.USAGE, "")
+        assert err == "error: carrier has at least 129 elements, more than the cap 128\n"
+        assert [carrier[-1] for carrier in listed] == [128]
 
     def test_complex_rejects_non_ik(self, capsys):
         code, out, err = run(capsys, "complex", "--frame", "two_forward")

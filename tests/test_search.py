@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from tenselab import search
+from tenselab import algebra, search
 from tenselab.algebra import (
     CapExceeded,
     EXTRA_LAWS,
@@ -109,6 +111,50 @@ class TestCountermodelHunt:
         bounds = SearchBounds(max_algebra_size=5, deadline_seconds=1e-9)
         verdict = find_algebra_countermodel("p -> H F p", bounds)
         assert verdict.status == "timeout" and verdict.witness is None
+
+    def test_clock_read_before_each_chunk(self, monkeypatch):
+        # one combo per base, so one chunk per base; the first judge call
+        # uses up the deadline, and the next base's chunk is not graded
+        now = [0.0]
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        graded = []
+        two_pair = algebra._two_pair
+
+        def counted(base, d, b):
+            graded.append(base.name)
+            return two_pair(base, d, b)
+
+        validity = search.algebra_validity
+
+        def slow(*args, **kwargs):
+            now[0] += 10
+            return validity(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "_two_pair", counted)
+        monkeypatch.setattr(search, "algebra_validity", slow)
+        bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=5)
+        verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
+        assert verdict.status == "timeout"
+        assert (verdict.scanned["combos"], verdict.scanned["eligible"]) == (1, 1)
+        assert graded == ["ha1_0", "ha1_0"]  # the first chunk's two directions
+
+    def test_deadline_passed_on_the_last_combo_exhausts(self, monkeypatch):
+        # one combo per base and three bases; the last judge call uses up
+        # the deadline, but every combo was scanned, so the verdict is
+        # exhausted and not timeout
+        now = [0.0]
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        validity = search.algebra_validity
+
+        def slow(*args, **kwargs):
+            now[0] += 10
+            return validity(*args, **kwargs)
+
+        monkeypatch.setattr(search, "algebra_validity", slow)
+        bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=25)
+        verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
+        assert verdict.status == "exhausted"
+        assert (verdict.scanned["combos"], verdict.scanned["eligible"]) == (3, 3)
 
     def test_pair_cap_shrinks_scan(self):
         capped = SearchBounds(max_algebra_size=3, max_gc_pairs=1)
