@@ -98,34 +98,94 @@ class LawWitness:
     rhs: int
 
 
-# mode: how lhs/rhs relate when the law holds
-_LAW_SPECS: list[tuple[str, str]] = [
-    ("gc_dia_bbox", "iff"),
-    ("gc_bdia_box", "iff"),
-    ("additive_dia", "eq"),
-    ("normal_dia", "eq"),
-    ("additive_bdia", "eq"),
-    ("normal_bdia", "eq"),
-    ("multiplicative_box", "eq"),
-    ("conormal_box", "eq"),
-    ("multiplicative_bbox", "eq"),
-    ("conormal_bbox", "eq"),
-    ("br1", "leq"),
-    ("br2", "leq"),
-    ("br3", "leq"),
-    ("br4", "leq"),
-    ("fs1", "leq"),
-    ("fs2", "leq"),
-    ("fs3", "leq"),
-    ("fs4", "leq"),
-    ("d1", "leq"),
-    ("d2", "leq"),
-    ("dunn2_dia", "leq"),
-    ("dunn2_bdia", "leq"),
-]
+# Each law is a function of a diamond stack d and a box stack b, one
+# table per row, that returns the two sides it compares, lhs and rhs:
+# they broadcast to one shape, with the candidates on its leading axes
+# and the law's arguments on the others.  The laws of one Galois pair
+# read (C, n) stacks; the laws of two broadcast any leading axes, so
+# (c, 1, n) against (P, n) grades c * P candidates.
 
-LAW_NAMES: tuple[str, ...] = tuple(name for name, _ in _LAW_SPECS)
-LAW_MODES: dict[str, str] = dict(_LAW_SPECS)
+
+def _adjoint(base, d, b):  # d x <= y  iff  x <= b y
+    return base.leq[d], base.leq.T[b].swapaxes(-1, -2)
+
+
+def _additive(base, d, b):  # d(x | y) = d x | d y
+    return d[:, base.join], base.join[d[:, :, None], d[:, None, :]]
+
+
+def _normal(base, d, b):  # d 0 = 0
+    return d[:, base.bottom], base.bottom
+
+
+def _multiplicative(base, d, b):  # b(x & y) = b x & b y
+    return b[:, base.meet], base.meet[b[:, :, None], b[:, None, :]]
+
+
+def _conormal(base, d, b):  # b 1 = 1
+    return b[:, base.top], base.top
+
+
+def _unit(base, d, b):  # x <= b d x, row by row
+    return np.arange(base.n), b[np.arange(len(b))[:, None], d]
+
+
+def _counit(base, d, b):  # d b x <= x, row by row
+    return d[np.arange(len(d))[:, None], b], np.arange(base.n)
+
+
+def _fs_dia(base, d, b):  # d(x -> y) <= b x -> d y
+    return d[..., base.imp], base.imp[b[..., :, None], d[..., None, :]]
+
+
+def _fs_box(base, d, b):  # (d x -> b y) <= b(x -> y)
+    return base.imp[d[..., :, None], b[..., None, :]], b[..., base.imp]
+
+
+def _dunn_meet(base, d, b):  # d x & b y <= d(x & y)
+    return base.meet[d[..., :, None], b[..., None, :]], d[..., base.meet]
+
+
+def _dunn_join(base, d, b):  # b(x | y) <= b x | d y
+    return b[..., base.join], base.join[b[..., :, None], d[..., None, :]]
+
+
+def _compare(base: HeytingAlgebra, mode: str, lhs, rhs) -> np.ndarray:
+    """Where a law's two sides compare as its mode asks."""
+    return base.leq[lhs, rhs] if mode == "leq" else lhs == rhs
+
+
+# Each law's mode (how lhs and rhs compare when it holds), the pairs its
+# diamond d and box b come from, and its sides.  Combo (i, k) takes dia
+# and bbox from pair i, 0 here, and bdia and box from pair k, 1 here (see
+# _combo).  A law with d == b reads one pair.
+_LAWS = {
+    "gc_dia_bbox": ("iff", 0, 0, _adjoint),
+    "gc_bdia_box": ("iff", 1, 1, _adjoint),
+    "additive_dia": ("eq", 0, 0, _additive),
+    "normal_dia": ("eq", 0, 0, _normal),
+    "additive_bdia": ("eq", 1, 1, _additive),
+    "normal_bdia": ("eq", 1, 1, _normal),
+    "multiplicative_box": ("eq", 1, 1, _multiplicative),
+    "conormal_box": ("eq", 1, 1, _conormal),
+    "multiplicative_bbox": ("eq", 0, 0, _multiplicative),
+    "conormal_bbox": ("eq", 0, 0, _conormal),
+    "br1": ("leq", 0, 0, _unit),
+    "br2": ("leq", 0, 0, _counit),
+    "br3": ("leq", 1, 1, _unit),
+    "br4": ("leq", 1, 1, _counit),
+    "fs1": ("leq", 0, 1, _fs_dia),
+    "fs2": ("leq", 0, 1, _fs_box),
+    "fs3": ("leq", 1, 0, _fs_dia),
+    "fs4": ("leq", 1, 0, _fs_box),
+    "d1": ("leq", 0, 1, _dunn_meet),
+    "d2": ("leq", 1, 0, _dunn_meet),
+    "dunn2_dia": ("leq", 0, 1, _dunn_join),
+    "dunn2_bdia": ("leq", 1, 0, _dunn_join),
+}
+
+LAW_NAMES: tuple[str, ...] = tuple(_LAWS)
+LAW_MODES: dict[str, str] = {law: mode for law, (mode, *_) in _LAWS.items()}
 EXTRA_LAWS: frozenset[str] = frozenset({"dunn2_dia", "dunn2_bdia"})
 CORE_LAWS: tuple[str, ...] = tuple(n for n in LAW_NAMES if n not in EXTRA_LAWS)
 H2GC_LAWS: tuple[str, ...] = tuple(
@@ -146,7 +206,7 @@ class LawCheck:
     def __init__(self, holds: bool, witness: Optional[LawWitness] = None, source=None):
         self.holds = holds
         self._witness = witness
-        self._source = source  # (base, tables, law) while the witness is unread
+        self._source = source  # (base, (f, g), law) while the witness is unread
 
     @property
     def witness(self) -> Optional[LawWitness]:
@@ -170,38 +230,58 @@ class LawCheck:
 _HOLDS = LawCheck(True)
 
 
+_BIT = {law: 1 << i for i, law in enumerate(LAW_NAMES)}
+
+
 def law_bits(laws: Iterable[str]) -> int:
     """The verdict bits of some laws: bit i stands for LAW_NAMES[i]."""
-    bits = 0
-    for law in laws:
-        bits |= 1 << LAW_NAMES.index(law)
-    return bits
+    return sum(_BIT[law] for law in set(laws))
 
 
-_BIT = {law: law_bits([law]) for law in LAW_NAMES}
 _CORE_BITS = law_bits(CORE_LAWS)
 _H2GC_BITS = law_bits(H2GC_LAWS)
 
 
-class LawReport:
-    """The verdicts of all 22 laws on one structure.
+class LawReport(Mapping):
+    """The verdicts of all 22 laws on one structure: a mapping from each
+    law, in LAW_NAMES order, to its LawCheck.
 
     bits has bit i set when LAW_NAMES[i] holds; holds, all_green,
-    h2gc_green and failures read nothing else.  verdicts maps each law,
-    in LAW_NAMES order, to its LawCheck.
+    h2gc_green and failures read nothing else.  A failing law's check is
+    made when first looked up, and finds its witness on the structure's
+    two-pair stack (f, g) when that is first read.
     """
 
-    __slots__ = ("bits", "verdicts")
+    __slots__ = ("bits", "_base", "_pairs", "_failing")
 
-    def __init__(self, bits: int, base: HeytingAlgebra, tables: tuple[np.ndarray, ...]):
+    def __init__(self, bits: int, base: HeytingAlgebra, f, g):
         self.bits = bits
-        self.verdicts: Mapping[str, LawCheck] = _Verdicts(bits, base, tables)
+        self._base, self._pairs = base, (f, g)
+        self._failing: dict[str, LawCheck] = {}
+
+    @property
+    def verdicts(self) -> Mapping[str, LawCheck]:
+        return self
+
+    def __getitem__(self, law: str) -> LawCheck:
+        if self.bits & _BIT[law]:
+            return _HOLDS
+        check = self._failing.get(law)
+        if check is None:
+            check = self._failing[law] = LawCheck(False, None, (self._base, self._pairs, law))
+        return check
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(LAW_NAMES)
+
+    def __len__(self) -> int:
+        return len(LAW_NAMES)
 
     def holds(self, law: str) -> bool:
         return bool(self.bits & _BIT[law])
 
     def witness(self, law: str) -> Optional[LawWitness]:
-        return self.verdicts[law].witness
+        return self[law].witness
 
     @property
     def all_green(self) -> bool:
@@ -214,32 +294,6 @@ class LawReport:
 
     def failures(self) -> tuple[str, ...]:
         return tuple(n for n in LAW_NAMES if not self.bits & _BIT[n])
-
-
-class _Verdicts(Mapping):
-    """Law name -> LawCheck from verdict bits.  A failing law's check is
-    made when first looked up, and finds its witness on the tables (dia,
-    box, bdia, bbox) when that is first read."""
-
-    __slots__ = ("_bits", "_base", "_tables", "_failing")
-
-    def __init__(self, bits: int, base: HeytingAlgebra, tables: tuple[np.ndarray, ...]):
-        self._bits, self._base, self._tables = bits, base, tables
-        self._failing: dict[str, LawCheck] = {}
-
-    def __getitem__(self, law: str) -> LawCheck:
-        if self._bits & _BIT[law]:
-            return _HOLDS
-        check = self._failing.get(law)
-        if check is None:
-            check = self._failing[law] = LawCheck(False, None, (self._base, self._tables, law))
-        return check
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(LAW_NAMES)
-
-    def __len__(self) -> int:
-        return len(LAW_NAMES)
 
 
 class AlgebraWithOps:
@@ -270,12 +324,13 @@ class AlgebraWithOps:
     @property
     def laws(self) -> LawReport:
         if self._laws is None:
+            # the structure is combo (0, 1) of the stack of its two pairs
+            f, g = (self.dia, self.bdia), (self.bbox, self.box)
             bits = self._bits
             if bits is None:
-                left = (self.dia[None], self.bbox[None])
-                right = (self.bdia[None], self.box[None])
-                ((bits, _),) = next(_grade(self.base, left, right))
-            self._laws = LawReport(bits, self.base, (self.dia, self.box, self.bdia, self.bbox))
+                stack = self.base, np.array(f), np.array(g)
+                ((bits, _),) = _grade(*stack, slice(0, 1), slice(1, 2), {})
+            self._laws = LawReport(bits, self.base, f, g)
         return self._laws
 
     @property
@@ -293,147 +348,58 @@ class AlgebraWithOps:
         return f"AlgebraWithOps({self.base.name or ','.join(self.base.names)})"
 
 
+def _combo(base: HeytingAlgebra, f: np.ndarray, g: np.ndarray, i: int, k: int, bits: int):
+    """Combo (i, k) of a stack of Galois pairs (f[p], g[p]) with its
+    verdict bits: pair i gives dia and bbox, pair k gives bdia and box."""
+    return AlgebraWithOps(base, f[i], g[k], f[k], g[i], bits)
+
+
 # --------------------------------------------------------------- grading
 
-# Each law is a function of a diamond stack d and a box stack b, one
-# table per row, that returns (ok, lhs, rhs): ok has the candidates on
-# its leading axes and the law's arguments on the others, and the
-# compared sides lhs and rhs broadcast to ok's shape.
 
-
-def _eq(lhs, rhs):
-    return lhs == rhs, lhs, rhs
-
-
-def _leq(base: HeytingAlgebra, lhs, rhs):
-    return base.leq[lhs, rhs], lhs, rhs
-
-
-def _adjoint(base, d, b):  # d x <= y  iff  x <= b y
-    below = base.leq[d]
-    above = base.leq.T[b].swapaxes(-1, -2)
-    return below == above, below, above
-
-
-def _round_trip(b, d):  # b(d x) for each row
-    return b[np.arange(len(b))[:, None], d]
-
-
-# The laws of one (diamond, box) pair, on (C, n) stacks: adjunction,
-# additivity and normality of the diamond, multiplicativity and
-# conormality of the box, the two round trips.
-_ONE_PAIR = (
-    _adjoint,
-    lambda base, d, b: _eq(d[:, base.join], base.join[d[:, :, None], d[:, None, :]]),
-    lambda base, d, b: _eq(d[:, base.bottom], base.bottom),
-    lambda base, d, b: _eq(b[:, base.meet], base.meet[b[:, :, None], b[:, None, :]]),
-    lambda base, d, b: _eq(b[:, base.top], base.top),
-    lambda base, d, b: _leq(base, np.arange(base.n), _round_trip(b, d)),
-    lambda base, d, b: _leq(base, _round_trip(d, b), np.arange(base.n)),
-)
-# The laws reading a diamond with the box of the other pair: the two
-# Fischer Servi laws, the Dunn meet law and the Dunn join law.  The
-# stacks may have more leading axes, which broadcast: (c, 1, n) against
-# (1, P, n) grades c * P candidates.
-_TWO_PAIR = (
-    lambda base, d, b: _leq(base, d[..., base.imp], base.imp[b[..., :, None], d[..., None, :]]),
-    lambda base, d, b: _leq(base, base.imp[d[..., :, None], b[..., None, :]], b[..., base.imp]),
-    lambda base, d, b: _leq(base, base.meet[d[..., :, None], b[..., None, :]], d[..., base.meet]),
-    lambda base, d, b: _leq(base, b[..., base.join], base.join[b[..., :, None], d[..., None, :]]),
-)
-
-# Law name -> (law, index of d, index of b) in the tables (dia, box, bdia,
-# bbox), in the grader's law order: the one-pair laws of (dia, bbox),
-# the same of (bdia, box), then the two-pair laws of dia with box and
-# of bdia with bbox.
-_LAWS = {
-    **dict(zip(
-        ("gc_dia_bbox", "additive_dia", "normal_dia", "multiplicative_bbox",
-         "conormal_bbox", "br1", "br2"),
-        ((law, 0, 3) for law in _ONE_PAIR))),
-    **dict(zip(
-        ("gc_bdia_box", "additive_bdia", "normal_bdia", "multiplicative_box",
-         "conormal_box", "br3", "br4"),
-        ((law, 2, 1) for law in _ONE_PAIR))),
-    **dict(zip(("fs1", "fs2", "d1", "dunn2_dia"), ((law, 0, 1) for law in _TWO_PAIR))),
-    **dict(zip(("fs3", "fs4", "d2", "dunn2_bdia"), ((law, 2, 3) for law in _TWO_PAIR))),
-}
-# the verdict bit of each row of a chunk's verdict matrix
-_ROW_BITS = np.array([_BIT[law] for law in _LAWS], dtype=np.int64)
-
-
-def _one_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The one-pair verdicts of (C, n) stacks: one row per law, one
-    column per candidate."""
-    return np.array([law(base, d, b)[0].reshape(len(d), -1).all(axis=1) for law in _ONE_PAIR])
-
-
-def _two_pair(base: HeytingAlgebra, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The two-pair verdicts, one row per law with the candidates on the
-    other axes: (4, c, P) for (c, 1, n) stacks against (1, P, n) ones."""
-    return np.array([law(base, d, b)[0].all(axis=(-2, -1)) for law in _TWO_PAIR])
-
-
-def _witness(base: HeytingAlgebra, tables: tuple[np.ndarray, ...], law: str) -> LawWitness:
-    """Where a law fails on one structure: its first failing argument
-    tuple in row-major order, with both sides there.  These are the
-    structure's own law arrays, so the witness does not depend on the
-    chunk the structure was graded in."""
-    grade, d, b = _LAWS[law]
-    ok, lhs, rhs = grade(base, tables[d][None], tables[b][None])
+def _witness(base: HeytingAlgebra, pairs: tuple, law: str) -> LawWitness:
+    """Where a law fails on one structure, given as the stack of two
+    Galois pairs (f, g) it is combo (0, 1) of: the law's first failing
+    argument tuple in row-major order, with both sides there.  These are
+    the structure's own law arrays, so the witness does not depend on
+    the chunk the structure was graded in."""
+    (mode, d, b, sides), (f, g) = _LAWS[law], pairs
+    lhs, rhs = sides(base, f[d][None], g[b][None])
+    ok = _compare(base, mode, lhs, rhs)
     at = int(ok.argmin())
     zero = np.zeros(ok.shape, dtype=np.int64)  # broadcasts either side to ok's shape
     lw, rw = (int((side + zero).flat[at]) for side in (lhs, rhs))
     return LawWitness(tuple(map(int, np.unravel_index(at, ok.shape[1:]))), lw, rw)
 
 
-# Cells per two-pair law array: _grade pairs as many left candidates with
-# the whole right stack as fit, and always at least one.
-GRADE_CELLS = 1 << 14
-
-
 def _grade(
-    base: HeytingAlgebra,
-    left: tuple[np.ndarray, np.ndarray],
-    right: tuple[np.ndarray, np.ndarray],
-) -> Iterator[Iterator[tuple[int, tuple[int, int]]]]:
-    """Verdict bits of every (left, right) candidate, a chunk at a time.
+    base: HeytingAlgebra, f: np.ndarray, g: np.ndarray, rows: slice, cols: slice, graded: dict
+) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Verdict bits of the combos (i, k) of a stack of Galois pairs with
+    i in rows and k in cols, graded when first read.
 
-    left stacks (dia, bbox) candidates and right stacks (bdia, box)
-    candidates, one table per row.  Each chunk yields (bits, (i, k)) for
-    the candidate of left row i and right row k, left index outermost
-    (see law_bits for the bits).  The fourteen laws that read one side
-    are graded once per candidate, with the first chunk read.  The eight
-    that read both sides are graded a chunk at a time: c left candidates
-    against all P right ones, as c * P candidates, with c as large as
-    keeps each law's array of c * P * n * n cells within GRADE_CELLS.  A
-    chunk is graded when it is first read, into a bool matrix with one
-    row per law and one column per candidate; chunks may be read in any
-    order, or not at all.
+    f stacks P lower adjoints and g their upper adjoints, one pair per
+    row; combo (i, k) reads pair i as (dia, bbox) and pair k as (bdia,
+    box), as _combo builds it.  Yields (bits, (i, k)), i outermost (see
+    law_bits for the bits).  The fourteen laws that read one pair have
+    seven shapes, each graded once per pair of the stack and kept in
+    graded, which the chunks of one stack share.  The eight that read
+    two pairs are graded on the combos asked for, one row of a bool
+    matrix per law.
     """
-    dias, bboxes = left
-    bdias, boxes = right
-    p = len(bdias)
-
-    @lru_cache(maxsize=None)
-    def one_pair() -> tuple[np.ndarray, np.ndarray]:
-        both = _one_pair(base, np.concatenate([dias, bdias]), np.concatenate([bboxes, boxes]))
-        return both[:, : len(dias)], both[:, len(dias) :]
-
-    def chunk(start: int, stop: int) -> Iterator[tuple[int, tuple[int, int]]]:
-        lefts, rights = one_pair()
-        dia, bbox = dias[start:stop, None], bboxes[start:stop, None]
-        held = np.empty((len(_LAWS), stop - start, p), dtype=bool)  # rows in _LAWS order
-        held[:7] = lefts[:, start:stop, None]
-        held[7:14] = rights[:, None, :]
-        held[14:18] = _two_pair(base, dia, boxes[None])
-        held[18:] = _two_pair(base, bdias[None], bbox)
-        bits = (_ROW_BITS @ held.reshape(len(_LAWS), -1)).tolist()
-        yield from zip(bits, itertools.product(range(start, stop), range(p)))
-
-    step = max(1, GRADE_CELLS // (p * base.n * base.n))
-    for start in range(0, len(dias), step):
-        yield chunk(start, min(start + step, len(dias)))
+    p = len(f)
+    ii, kk = range(p)[rows], range(p)[cols]
+    held = np.empty((len(_LAWS), len(ii), len(kk)), dtype=bool)
+    at = ((rows, None), cols)  # the rows of pair i, of pair k
+    for row, (mode, d, b, sides) in enumerate(_LAWS.values()):
+        if d != b:
+            held[row] = _compare(base, mode, *sides(base, f[at[d]], g[at[b]])).all(axis=(-2, -1))
+            continue
+        if sides not in graded:
+            graded[sides] = _compare(base, mode, *sides(base, f, g)).reshape(p, -1).all(axis=1)
+        held[row] = graded[sides][at[d]]
+    bits = ((1 << np.arange(len(_LAWS))) @ held.reshape(len(_LAWS), -1)).tolist()
+    yield from zip(bits, itertools.product(ii, kk))
 
 
 def _frozen(tables) -> np.ndarray:
@@ -636,25 +602,6 @@ def valuation_names(
     return {k: base.names[v] for k, v in valuation.items()}
 
 
-INTERMEDIATE_SCHEMES: dict[str, str] = {
-    "prelinearity": "(p -> q) | (q -> p)",
-    "peirce": "((p -> q) -> p) -> p",
-    "weak_em": "~p | ~~p",
-}
-
-
-def check_intermediate_identity(
-    alg: Union[HeytingAlgebra, AlgebraWithOps],
-    scheme: Union[str, Formula],
-    var_cap: int = DEFAULT_VAR_CAP,
-) -> Optional[dict[str, int]]:
-    """Validity of a named or custom propositional scheme on the algebra."""
-    if isinstance(scheme, str):
-        text = INTERMEDIATE_SCHEMES.get(scheme, scheme)
-        scheme = parse_formula(text)
-    return algebra_validity(alg, scheme, var_cap=var_cap)
-
-
 # ------------------------------------------------------- stock structures
 
 
@@ -710,17 +657,27 @@ def _gc_stacks(n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return stacks
 
 
+# Cells per two-pair law array: a chunk of the stream pairs as many rows
+# i with all P rows k as fit, and always at least one.
+GRADE_CELLS = 1 << 14
+
+
 def _graded_chunks(n_max: int, max_gc_pairs: Optional[int]) -> Iterator[tuple]:
     """The combo stream a chunk at a time.
 
-    Each item is (base, lowers, uppers, combos), where combos yields
-    (bits, (i, k)) for the combo whose pairs are (lowers[i], uppers[i])
-    and (lowers[k], uppers[k]), and grades the chunk when first read.
+    Each item is (base, f, g, combos), where f and g stack the base's
+    Galois pairs and combos is _grade's verdict bits of c rows i of that
+    stack against all P rows k (see _combo), with c as large as keeps
+    each two-pair law's array of c * P * n * n cells within GRADE_CELLS.
+    A chunk is graded when first read, so chunks may be read in any
+    order, or not at all; the one-pair laws with the first chunk read.
     """
     for base in enumerate_heyting(n_max):
-        lowers, uppers = (s[:max_gc_pairs] for s in _gc_stacks(base.n)[base.name])
-        for combos in _grade(base, (lowers, uppers), (lowers, uppers)):
-            yield base, lowers, uppers, combos
+        f, g = (s[:max_gc_pairs] for s in _gc_stacks(base.n)[base.name])
+        p, graded = len(f), {}
+        step = max(1, GRADE_CELLS // (p * base.n * base.n))
+        for start in range(0, p, step):
+            yield base, f, g, _grade(base, f, g, slice(start, start + step), slice(None), graded)
 
 
 def enumerate_op_combos(
@@ -736,6 +693,6 @@ def enumerate_op_combos(
     other call in the process (see enumerate_heyting); the first call
     to reach a size builds them.
     """
-    for base, lowers, uppers, combos in _graded_chunks(n_max, max_gc_pairs):
+    for base, f, g, combos in _graded_chunks(n_max, max_gc_pairs):
         for bits, (i, k) in combos:
-            yield AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], bits)
+            yield _combo(base, f, g, i, k, bits)

@@ -27,7 +27,6 @@ indices.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -341,13 +340,12 @@ def _all_preorders(n: int) -> list[np.ndarray]:
     return out
 
 
-def enumerate_frames(
-    n_max: int, require_ik: bool = True, up_to_iso: bool = True
-) -> Iterator[Frame]:
-    """All frames with at most n_max worlds, smallest first.
+def enumerate_frames(n_max: int) -> Iterator[Frame]:
+    """All IK frames with at most n_max worlds up to isomorphism,
+    smallest first.
 
     Exhaustive generation is quadratic in 2^(n^2), so n_max is capped
-    at 3; use sample_frames for larger sizes.
+    at 3.
     """
     if n_max > 3:
         raise CapExceeded("frame enumeration size", 3)
@@ -359,42 +357,14 @@ def enumerate_frames(
             for bits in itertools.product((False, True), repeat=n * n):
                 r = np.array(bits, dtype=bool).reshape(n, n)
                 frame = Frame(names, leq, r, name=f"fr{n}_{counter}")
-                if require_ik and not check_ik_frame(frame).is_ik:
+                if not check_ik_frame(frame).is_ik:
                     continue
-                if up_to_iso:
-                    code = canonical_code(frame.up_rows, mask_rows(r))
-                    if code in seen:
-                        continue
-                    seen.add(code)
+                code = canonical_code(frame.up_rows, mask_rows(r))
+                if code in seen:
+                    continue
+                seen.add(code)
                 counter += 1
                 yield frame
-
-
-def sample_frames(
-    n: int, count: int, seed: int, require_ik: bool = True
-) -> list[Frame]:
-    """Deterministic random frames of exactly n worlds."""
-    rng = random.Random(seed)
-    out: list[Frame] = []
-    attempts = 0
-    while len(out) < count and attempts < count * 2000:
-        attempts += 1
-        leq = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.3:
-                    leq[i, j] = True
-        leq = transitive_closure(leq)
-        r = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if rng.random() < 0.4:
-                    r[i, j] = True
-        frame = Frame(tuple(f"w{i}" for i in range(n)), leq, r, name=f"sample{n}_{len(out)}")
-        if require_ik and not check_ik_frame(frame).is_ik:
-            continue
-        out.append(frame)
-    return out
 
 
 STOCK_FRAMES: dict[str, Callable[[], Frame]] = {

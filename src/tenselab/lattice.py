@@ -138,7 +138,7 @@ class HeytingAlgebra:
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError(f"unknown element {name!r}") from None
+            raise KeyError(name) from None
 
     def neg(self, a: int) -> int:
         return int(self.imp[a, self.bottom])
@@ -354,33 +354,19 @@ def _iso_bases(n: int) -> tuple[HeytingAlgebra, ...]:
     )
 
 
-def enumerate_heyting(
-    n_max: int, up_to_iso: bool = True
-) -> Iterator[HeytingAlgebra]:
-    """Yield every finite Heyting algebra with at most n_max elements.
+def enumerate_heyting(n_max: int) -> Iterator[HeytingAlgebra]:
+    """Yield every finite Heyting algebra with at most n_max elements, up
+    to isomorphism: one per class, canonically labeled, by size and then
+    canonical code.
 
-    With up_to_iso each isomorphism class appears exactly once (canonical
-    labeling); without it every labeled copy of each class on carrier
-    0..n-1 appears.  Deterministic order: by size, then canonical code,
-    then (labeled mode) leq row masks.
-
-    The up_to_iso bases of each size are built the first time that size
-    is listed and shared afterwards, so every call yields the same
-    objects; their tables are read-only.  Labeled copies are built anew
-    on every call.
+    The bases of each size are built the first time that size is listed
+    and shared afterwards, so every call yields the same objects; their
+    tables are read-only.
     """
     if not 1 <= n_max <= MAX_ENUM_SIZE:
         raise OrderError(f"n_max must be in 1..{MAX_ENUM_SIZE}")
-    if up_to_iso:
-        for n in range(1, n_max + 1):
-            yield from _iso_bases(n)
-        return
-    counter = 0
     for n in range(1, n_max + 1):
-        for code in _iso_classes(n):
-            for (rows,) in sorted(set(relabelings(code))):
-                yield _algebra_from_rows(rows, name=f"ha{n}_{counter}")
-                counter += 1
+        yield from _iso_bases(n)
 
 
 # ------------------------------------------------------- stock lattices

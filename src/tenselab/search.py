@@ -25,6 +25,7 @@ from .algebra import (
     CapExceeded,
     EvalError,
     ModalOperatorPresent,
+    _combo,
     _graded_chunks,
     algebra_validity,
     evaluate,
@@ -177,7 +178,7 @@ def _scan_combos(
     def verdict(status: str, witness: Optional[object] = None) -> Verdict:
         return Verdict(status, witness, _stats(clock, combos=combos, eligible=eligible))
 
-    for base, lowers, uppers, graded in _graded_chunks(
+    for base, f, g, graded in _graded_chunks(
         bounds.max_algebra_size, bounds.max_gc_pairs
     ):
         if clock.expired():
@@ -189,7 +190,7 @@ def _scan_combos(
             if bits & need != need:
                 continue
             eligible += 1
-            witness = judge(AlgebraWithOps(base, lowers[i], uppers[k], lowers[k], uppers[i], bits))
+            witness = judge(_combo(base, f, g, i, k, bits))
             if witness is not None:
                 return verdict("found", witness)
     return verdict("exhausted")

@@ -22,7 +22,6 @@ from tenselab.algebra import (
     UnboundVariable,
     algebra_validity,
     attach_ops,
-    check_intermediate_identity,
     dunn_separating_algebra,
     enumerate_gc_pairs,
     enumerate_op_combos,
@@ -167,15 +166,15 @@ def _eager_verdicts(n_max, max_gc_pairs=None):
         pairs = enumerate_gc_pairs(base)[:max_gc_pairs]
         lowers, uppers = (np.array(side, dtype=np.int64) for side in zip(*pairs))
         p = len(pairs)
-        # combo (i, k) has dia = lowers[i], box = uppers[k], bdia = lowers[k], bbox = uppers[i]
-        tables = (
-            np.repeat(lowers, p, axis=0), np.tile(uppers, (p, 1)),
-            np.tile(lowers, (p, 1)), np.repeat(uppers, p, axis=0),
-        )
+        # combo (i, k) reads pair i as pair 0 of algebra._LAWS and pair k as pair 1
+        fs = (np.repeat(lowers, p, axis=0), np.tile(lowers, (p, 1)))
+        gs = (np.repeat(uppers, p, axis=0), np.tile(uppers, (p, 1)))
         columns = []
         for law in LAW_NAMES:
-            grade, d, b = algebra._LAWS[law]
-            columns.append(_verdicts(*grade(base, tables[d], tables[b])))
+            mode, d, b, sides = algebra._LAWS[law]
+            lhs, rhs = sides(base, fs[d], gs[b])
+            ok = base.leq[lhs, rhs] if mode == "leq" else lhs == rhs
+            columns.append(_verdicts(ok, lhs, rhs))
         out.extend(list(zip(LAW_NAMES, row)) for row in zip(*columns))
     return out
 
@@ -341,13 +340,14 @@ class TestGaloisPairs:
 
 @pytest.fixture
 def grades(monkeypatch):
-    """The base of every call to the law grader, in call order."""
+    """The base of every call to the law grader, in call order: one per
+    chunk of the stream, one per structure graded alone."""
     calls = []
     grade = algebra._grade
 
-    def counted(base, left, right):
+    def counted(base, *args):
         calls.append(base)
-        return grade(base, left, right)
+        return grade(base, *args)
 
     monkeypatch.setattr(algebra, "_grade", counted)
     return calls
@@ -437,22 +437,15 @@ class TestGrader:
                 assert (got == getattr(was, table)).all()
 
     @pytest.mark.parametrize("cells", [1, 2600])
-    def test_chunk_boundaries(self, monkeypatch, op_combos_upto5, eager_upto5, cells):
-        # a budget of 1 grades one left row per chunk; 2600 puts whole
+    def test_chunk_boundaries(self, monkeypatch, grades, op_combos_upto5, eager_upto5, cells):
+        # a budget of 1 grades one row i per chunk; 2600 puts whole
         # size-3 bases in one chunk, splits size-4 bases as 10 + 6 and
         # 8 + 8 + 4 rows and size-5 bases into 2- or 1-row chunks
         monkeypatch.setattr(algebra, "GRADE_CELLS", cells)
-        chunks = Counter()
-        two_pair = algebra._two_pair
-
-        def counted(base, d, b):
-            chunks[base.name] += 1
-            return two_pair(base, d, b)
-
-        monkeypatch.setattr(algebra, "_two_pair", counted)
         stream = list(enumerate_op_combos(5))
-        assert chunks["ha4_3"] == 2 * (16 if cells == 1 else 2)
-        assert chunks["ha5_6"] == 2 * (50 if cells == 1 else 25)
+        chunks = Counter(base.name for base in grades)
+        assert chunks["ha4_3"] == (16 if cells == 1 else 2)
+        assert chunks["ha5_6"] == (50 if cells == 1 else 25)
         for alg, was, eager in zip(stream, op_combos_upto5, eager_upto5, strict=True):
             assert alg.base is was.base
             for table in ("dia", "box", "bdia", "bbox"):
@@ -624,10 +617,10 @@ class TestEvaluate:
             env = {v: data.draw(st.integers(0, base.n - 1), label=v) for v in "pqr"}
             assert evaluate(base, env, f) == _eval_direct(base, env, f), base.name
 
-    def test_modal_matches_reference_on_every_combo_up_to_size4(self, op_combos_upto5):
-        rng = random.Random(4)
-        combos = [alg for alg in op_combos_upto5 if alg.n <= 4]
-        assert len(combos) == 697
+    @staticmethod
+    def _modal_matches_reference(combos, rng):
+        # two random formulas per combo: one value and the first
+        # countervaluation, each against the scalar reference
         outcomes = set()
         for alg in combos:
             for _ in range(2):
@@ -639,6 +632,18 @@ class TestEvaluate:
                 assert got == _validity_ref(alg, f, names), (alg, f)
                 outcomes.add(got is None)
         assert outcomes == {True, False}
+
+    def test_modal_matches_reference_on_every_combo_up_to_size4(self, op_combos_upto5):
+        combos = [alg for alg in op_combos_upto5 if alg.n <= 4]
+        assert len(combos) == 697
+        self._modal_matches_reference(combos, random.Random(4))
+
+    def test_modal_matches_reference_on_a_size5_sample(self, h2gc_fs_upto5):
+        # 300 of the 725 size-5 combos among the 807 H2GC+FS ones up to size 5
+        size5 = [alg for alg in h2gc_fs_upto5 if alg.n == 5]
+        assert (len(h2gc_fs_upto5), len(size5)) == (807, 725)
+        rng = random.Random(5)
+        self._modal_matches_reference(rng.sample(size5, 300), rng)
 
     def test_accepts_names_and_text(self):
         alg = chain(3)
@@ -754,25 +759,29 @@ class TestValidity:
 
 
 class TestIntermediateSchemes:
+    PRELINEARITY = "(p -> q) | (q -> p)"
+    PEIRCE = "((p -> q) -> p) -> p"
+    WEAK_EM = "~p | ~~p"
+
     def test_prelinearity(self):
-        assert check_intermediate_identity(chain(5), "prelinearity") is None
-        assert check_intermediate_identity(diamond(), "prelinearity") is None
-        got = check_intermediate_identity(diamond_with_top(), "prelinearity")
+        assert algebra_validity(chain(5), self.PRELINEARITY) is None
+        assert algebra_validity(diamond(), self.PRELINEARITY) is None
+        got = algebra_validity(diamond_with_top(), self.PRELINEARITY)
         assert valuation_names(diamond_with_top(), got) == {"p": "a", "q": "b"}
 
     def test_peirce(self):
-        assert check_intermediate_identity(chain(2), "peirce") is None
-        got = check_intermediate_identity(chain(3), "peirce")
+        assert algebra_validity(chain(2), self.PEIRCE) is None
+        got = algebra_validity(chain(3), self.PEIRCE)
         assert valuation_names(chain(3), got) == {"p": "m", "q": "0"}
 
     def test_weak_excluded_middle(self):
-        assert check_intermediate_identity(chain(4), "weak_em") is None
-        assert check_intermediate_identity(diamond(), "weak_em") is None
-        assert check_intermediate_identity(diamond_with_top(), "weak_em") is not None
+        assert algebra_validity(chain(4), self.WEAK_EM) is None
+        assert algebra_validity(diamond(), self.WEAK_EM) is None
+        assert algebra_validity(diamond_with_top(), self.WEAK_EM) is not None
 
     def test_custom_scheme_text(self):
-        assert check_intermediate_identity(chain(2), "p | ~ p") is None
-        assert check_intermediate_identity(chain(3), "p | ~ p") is not None
+        assert algebra_validity(chain(2), "p | ~ p") is None
+        assert algebra_validity(chain(3), "p | ~ p") is not None
 
 
 class TestEnumeration:

@@ -17,13 +17,12 @@ from tenselab.frames import (
     enumerate_frames,
     frame_validity,
     make_frame,
-    sample_frames,
     satisfies,
     stock_frames,
     truth_set,
     truth_worlds,
 )
-from tenselab.lattice import up_sets
+from tenselab.lattice import canonical_code, mask_rows, transitive_closure, up_sets
 from tenselab.syntax import (
     And,
     BBox,
@@ -141,9 +140,51 @@ def _persistence_violations(model, formulas):
     return tuple(out)
 
 
+def _labeled_frames():
+    """Every frame on the worlds w0, and on w0 and w1, IK or not: each
+    preorder (on two points every reflexive relation is one) with each
+    relation R, in bit order.  There are 66."""
+    out = []
+    for n in (1, 2):
+        names = tuple(f"w{i}" for i in range(n))
+        off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for up in itertools.product((False, True), repeat=len(off_diag)):
+            leq = np.eye(n, dtype=bool)
+            for (i, j), b in zip(off_diag, up):
+                leq[i, j] = b
+            for bits in itertools.product((False, True), repeat=n * n):
+                out.append(Frame(names, leq, np.array(bits, dtype=bool).reshape(n, n)))
+    return out
+
+
+def sample_frames(n: int, count: int, seed: int, require_ik: bool = True) -> list[Frame]:
+    """Deterministic random frames of exactly n worlds."""
+    rng = random.Random(seed)
+    out: list[Frame] = []
+    attempts = 0
+    while len(out) < count and attempts < count * 2000:
+        attempts += 1
+        leq = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.3:
+                    leq[i, j] = True
+        leq = transitive_closure(leq)
+        r = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.4:
+                    r[i, j] = True
+        frame = Frame(tuple(f"w{i}" for i in range(n)), leq, r, name=f"sample{n}_{len(out)}")
+        if require_ik and not check_ik_frame(frame).is_ik:
+            continue
+        out.append(frame)
+    return out
+
+
 def _sample_pool():
     frames = list(stock_frames().values())
-    frames += list(enumerate_frames(2, require_ik=False, up_to_iso=False))[::7]
+    frames += _labeled_frames()[::7]
     frames += sample_frames(3, 6, seed=11, require_ik=False)
     frames += sample_frames(4, 4, seed=12)
     return frames
@@ -211,7 +252,7 @@ class TestIKConditions:
         assert not rep.backward.holds and rep.backward.witness == ("u", "u")
 
     def test_two_formulations_agree(self):
-        for fr in enumerate_frames(2, require_ik=False, up_to_iso=False):
+        for fr in _labeled_frames():
             assert check_ik_frame(fr).is_ik == _ik_via_stability(fr)
         for fr in sample_frames(4, 25, seed=40, require_ik=False):
             assert check_ik_frame(fr).is_ik == _ik_via_stability(fr)
@@ -259,7 +300,7 @@ class TestModels:
 
     def test_truth_on_every_labeled_two_world_frame(self):
         rng = random.Random(66)
-        for fr in enumerate_frames(2, require_ik=False, up_to_iso=False):
+        for fr in _labeled_frames():
             ups = up_sets(fr.leq)
             for _ in range(8):
                 masks = {v: rng.choice(ups) for v in ("p", "q", "r")}
@@ -426,8 +467,7 @@ class TestFrameValidity:
 
 class TestEnumeration:
     def test_labeled_two_world_count(self):
-        got = list(enumerate_frames(2, require_ik=False, up_to_iso=False))
-        assert len(got) == 66
+        assert len(_labeled_frames()) == 66
 
     def test_ik_count_up_to_iso(self, ik_frames_upto3):
         assert len(ik_frames_upto3) == 855
@@ -435,12 +475,18 @@ class TestEnumeration:
             assert check_ik_frame(fr).is_ik
 
     def test_iso_reduction_consistent(self):
-        labeled = [
-            f for f in enumerate_frames(2, require_ik=True, up_to_iso=False)
-        ]
-        classes = [f for f in enumerate_frames(2) ]
+        # the classes are IK, pairwise non-isomorphic, and cover every
+        # labeled IK frame
+        labeled = [f for f in _labeled_frames() if check_ik_frame(f).is_ik]
+        classes = list(enumerate_frames(2))
         assert len(classes) <= len(labeled)
-        assert all(check_ik_frame(f).is_ik for f in labeled)
+        assert all(check_ik_frame(f).is_ik for f in classes)
+
+        def code(f):
+            return canonical_code(f.up_rows, mask_rows(f.r))
+
+        assert len({code(f) for f in classes}) == len(classes)
+        assert {code(f) for f in classes} == {code(f) for f in labeled}
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
