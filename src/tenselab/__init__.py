@@ -44,7 +44,6 @@ from .frames import (
     make_frame,
     satisfies,
     stock_frames,
-    truth_worlds,
 )
 from .fuzzy import build_fuzzy_algebra, dunn2_failure_instance, make_fuzzy_instance
 from .lattice import HeytingAlgebra, chain, diamond, enumerate_heyting, from_order
@@ -107,5 +106,4 @@ __all__ = [
     "satisfies",
     "stock_algebras",
     "stock_frames",
-    "truth_worlds",
 ]

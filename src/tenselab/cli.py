@@ -57,6 +57,8 @@ def _parse_bounds(text: Optional[str], keys: dict[str, str]) -> search.SearchBou
         key = key.strip()
         if key not in keys:
             raise UsageError(f"unknown bounds key {key!r} (want {'/'.join(keys)})")
+        if keys[key] in kwargs:
+            raise UsageError(f"bounds key {key!r} given twice")
         try:
             parsed = float(value) if key == "seconds" else int(value)
         except ValueError:

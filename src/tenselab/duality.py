@@ -17,6 +17,10 @@ and independently from the backward pair,
 
 On algebras passing the core laws the two definitions agree; the
 canonical frame builder computes both and records whether they do.
+
+Both builders work on bool matrices with one row per filter or up-set:
+each relation between such sets is a row-inclusion test (_subset), and
+each modal operator on up-sets is one product with a frame relation.
 """
 
 from __future__ import annotations
@@ -26,8 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraWithOps, attach_ops
-from .frames import Frame, check_ik_frame, compose, IKFrameReport
-from .lattice import MAX_ORDER_SIZE, HeytingAlgebra, check_order_size, from_order, mask_rows, up_sets
+from .frames import Frame, check_ik_frame, IKFrameReport
+from .lattice import (
+    MAX_ORDER_SIZE,
+    HeytingAlgebra,
+    bool_rows,
+    check_order_size,
+    from_order,
+    mask_rows,
+    name_pairs,
+    up_sets,
+)
 
 
 class DualityError(ValueError):
@@ -59,25 +72,27 @@ class NotAnIKFrame(DualityError):
 # ----------------------------------------------------------- prime filters
 
 
-def prime_filters(base: HeytingAlgebra) -> tuple[int, ...]:
-    """Prime filters of the algebra, as ascending element bitmasks.
+def _prime_generators(base: HeytingAlgebra) -> list[int]:
+    """Least elements of the prime filters, ordered by the bitmasks of
+    the filters they generate.
 
-    On a finite distributive lattice these are exactly the principal
-    filters of the join-irreducible elements (Birkhoff): a is
+    On a finite distributive lattice the prime filters are exactly the
+    principal filters of the join-irreducible elements (Birkhoff): a is
     join-irreducible when it is not bottom and the join of everything
     strictly below it is not a itself.
     """
     ups = mask_rows(base.leq)
-    return tuple(sorted(ups[a] for a in base.join_irreducibles()))
+    return sorted(base.join_irreducibles(), key=ups.__getitem__)
 
 
-def _inverse_image_mask(table: np.ndarray, filter_mask: int) -> int:
-    """{a : table[a] in filter} as a bitmask."""
-    out = 0
-    for a in range(len(table)):
-        if (filter_mask >> int(table[a])) & 1:
-            out |= 1 << a
-    return out
+def prime_filters(base: HeytingAlgebra) -> tuple[int, ...]:
+    """Prime filters of the algebra, as ascending element bitmasks."""
+    return mask_rows(base.leq[_prime_generators(base)])
+
+
+def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] is true iff row i of a is a subset of row j of b."""
+    return ~(a @ ~b.T)
 
 
 @dataclass(frozen=True)
@@ -91,35 +106,21 @@ def canonical_frame(alg: AlgebraWithOps) -> CanonicalFrameResult:
     """Frame of prime filters of an algebra passing every core law.
 
     Worlds are ordered by inclusion; each filter is principal in the
-    finite case and is named ^m after its least element m.
+    finite case and is named ^m after its least element m.  Row i of
+    member[:, box] is box^{-1} of filter i, and likewise for the others.
     """
     if not alg.laws.all_green:
         raise NotAnH2GCFSAlgebra(alg.laws.failures())
     base = alg.base
-    filters = prime_filters(base)
-    k = len(filters)
-    if k == 0:
+    least = _prime_generators(base)
+    if not least:
         raise DegenerateAlgebra()
-    names = []
-    for fm in filters:
-        members = [a for a in range(base.n) if (fm >> a) & 1]
-        m = base.meet_all(members)
-        names.append("^" + base.names[m])
-    leq = np.zeros((k, k), dtype=bool)
-    r_fwd = np.zeros((k, k), dtype=bool)
-    r_bwd = np.zeros((k, k), dtype=bool)
-    box_inv = [_inverse_image_mask(alg.box, fm) for fm in filters]
-    dia_inv = [_inverse_image_mask(alg.dia, fm) for fm in filters]
-    bbox_inv = [_inverse_image_mask(alg.bbox, fm) for fm in filters]
-    bdia_inv = [_inverse_image_mask(alg.bdia, fm) for fm in filters]
-    for i, fi in enumerate(filters):
-        for j, fj in enumerate(filters):
-            leq[i, j] = (fi & ~fj) == 0
-            r_fwd[i, j] = (box_inv[i] & ~fj) == 0 and (fj & ~dia_inv[i]) == 0
-            r_bwd[i, j] = (bbox_inv[j] & ~fi) == 0 and (fi & ~bdia_inv[j]) == 0
-    agrees = bool((r_fwd == r_bwd).all())
-    frame = Frame(tuple(names), leq, r_fwd, name="canonical")
-    return CanonicalFrameResult(frame, filters, agrees)
+    member = base.leq[least]  # member[i, a]: element a lies in filter i
+    r_fwd = _subset(member[:, alg.box], member) & _subset(member, member[:, alg.dia]).T
+    r_bwd = _subset(member[:, alg.bbox], member).T & _subset(member, member[:, alg.bdia])
+    names = tuple("^" + base.names[a] for a in least)
+    frame = Frame(names, _subset(member, member), r_fwd, name="canonical")
+    return CanonicalFrameResult(frame, mask_rows(member), bool((r_fwd == r_bwd).all()))
 
 
 # ---------------------------------------------------------- complex algebra
@@ -129,11 +130,6 @@ def canonical_frame(alg: AlgebraWithOps) -> CanonicalFrameResult:
 class ComplexAlgebraResult:
     algebra: AlgebraWithOps
     carrier: tuple[int, ...]  # carrier[i] = world bitmask of element i
-
-
-def _upset_name(frame: Frame, mask: int) -> str:
-    members = [frame.names[i] for i in range(frame.n) if (mask >> i) & 1]
-    return "{" + ",".join(members) + "}"
 
 
 def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
@@ -149,32 +145,19 @@ def complex_algebra(frame: Frame) -> ComplexAlgebraResult:
     # inclusion list and without trying every world mask of a large frame
     carrier = up_sets(frame.leq, stop=MAX_ORDER_SIZE + 1)
     check_order_size(len(carrier), at_least=True)
-    index = {m: i for i, m in enumerate(carrier)}
-    names = tuple(_upset_name(frame, m) for m in carrier)
-    pairs = []
-    for a, ma in enumerate(carrier):
-        for b, mb in enumerate(carrier):
-            if (ma & ~mb) == 0:
-                pairs.append((names[a], names[b]))
+    ups = bool_rows(carrier, frame.n)
+    names = tuple(
+        "{" + ",".join(w for w, b in zip(frame.names, row) if b) + "}" for row in ups.tolist()
+    )
     # from_order keeps the given name order, so indices align with carrier
+    pairs = name_pairs(_subset(ups, ups), names)
     base = from_order(names, pairs, name=f"complex({frame.name or 'frame'})")
-    n = frame.n
-    r_rows = mask_rows(frame.r)
-    r_cols = mask_rows(frame.r.T)
-    g_rows = mask_rows(frame.leq_r)
-    h_cols = mask_rows(frame.r_up.T)
-    dia_t, box_t, bdia_t, bbox_t = [], [], [], []
-    for m in carrier:
-        dia_m = sum(1 << x for x in range(n) if r_rows[x] & m)
-        box_m = sum(1 << x for x in range(n) if not (g_rows[x] & ~m))
-        bdia_m = sum(1 << x for x in range(n) if r_cols[x] & m)
-        bbox_m = sum(1 << x for x in range(n) if not (h_cols[x] & ~m))
-        dia_t.append(index[dia_m])
-        box_t.append(index[box_m])
-        bdia_t.append(index[bdia_m])
-        bbox_t.append(index[bbox_m])
-    alg = attach_ops(base, dia_t, box_t, bdia_t, bbox_t)
-    return ComplexAlgebraResult(alg, carrier)
+    # dia, box, bdia and bbox of every up-set, each again an up-set, so in the carrier
+    images = np.stack(
+        [ups @ frame.r.T, ~(~ups @ frame.leq_r.T), ups @ frame.r, ~(~ups @ frame.r_up)]
+    )
+    tables = np.searchsorted(carrier, images @ (1 << np.arange(frame.n))).tolist()
+    return ComplexAlgebraResult(attach_ops(base, *tables), carrier)
 
 
 # --------------------------------------------------------------- embedding
@@ -228,8 +211,7 @@ def embedding_check(alg: AlgebraWithOps) -> EmbeddingReport:
     ca = complex_algebra(frame)
     cx, cb, k = ca.algebra, ca.algebra.base, len(filters)
 
-    # member[i, a]: element a lies in filter i
-    member = np.array([[fm >> a & 1 for a in range(base.n)] for fm in filters], dtype=bool)
+    member = base.leq[_prime_generators(base)]  # one row per filter, as in cf.filters
     # h(a) as a world mask; complex_algebra has capped the worlds at 20
     h_mask = (member.T.astype(np.int64) << np.arange(k)).sum(axis=1)
     # the carrier lists every up-set in ascending order, and each h(a) is one
@@ -253,8 +235,8 @@ def embedding_check(alg: AlgebraWithOps) -> EmbeddingReport:
     # second pair of composition identities on the canonical frame:
     # F (<=;R) G iff bdia a in G for every a in F, and
     # F (R;>=) G iff a in F whenever bbox a is in G
-    want_leq_r = ~compose(member, ~member[:, alg.bdia].T)
-    want_r_geq = ~compose(~member, member[:, alg.bbox].T)
+    want_leq_r = _subset(member, member[:, alg.bdia])
+    want_r_geq = _subset(member[:, alg.bbox], member).T
     connection2_leq_r = bool((frame.leq_r == want_leq_r).all())
     connection2_r_geq = bool((frame.r_up == want_r_geq).all())
 

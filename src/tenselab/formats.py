@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .frames import STOCK_FRAMES, Frame, Model, make_frame
 from .fuzzy import FuzzyInstance, make_fuzzy_instance
-from .lattice import HeytingAlgebra, from_order
+from .lattice import HeytingAlgebra, from_order, name_pairs
 from .proofs import (
     AxiomStep,
     LemmaStep,
@@ -188,12 +188,7 @@ def dump_algebra(alg: Union[HeytingAlgebra, AlgebraWithOps]) -> dict:
     doc: dict[str, Any] = {
         "name": base.name,
         "elements": list(names),
-        "leq": [
-            [names[i], names[j]]
-            for i in range(base.n)
-            for j in range(base.n)
-            if base.leq[i, j]
-        ],
+        "leq": name_pairs(base.leq, names),
     }
     if isinstance(alg, AlgebraWithOps):
         doc["ops"] = {
@@ -252,18 +247,8 @@ def dump_frame(frame: Frame) -> dict:
     return {
         "name": frame.name,
         "worlds": list(names),
-        "leq": [
-            [names[i], names[j]]
-            for i in range(frame.n)
-            for j in range(frame.n)
-            if frame.leq[i, j]
-        ],
-        "R": [
-            [names[i], names[j]]
-            for i in range(frame.n)
-            for j in range(frame.n)
-            if frame.r[i, j]
-        ],
+        "leq": name_pairs(frame.leq, names),
+        "R": name_pairs(frame.r, names),
     }
 
 

@@ -267,11 +267,6 @@ def truth_set(model: Model, formula: Union[Formula, str]) -> int:
     return sum(1 << int(x) for x in np.flatnonzero(truth[0]))
 
 
-def truth_worlds(model: Model, formula: Union[Formula, str]) -> tuple[str, ...]:
-    mask = truth_set(model, formula)
-    return tuple(n for i, n in enumerate(model.frame.names) if mask & (1 << i))
-
-
 def satisfies(model: Model, world: Union[int, str], formula: Union[Formula, str]) -> bool:
     x = model.frame.index(world) if isinstance(world, str) else int(world)
     return bool(truth_set(model, formula) & (1 << x))

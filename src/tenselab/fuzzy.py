@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraWithOps, CapExceeded, attach_ops
-from .lattice import HeytingAlgebra, diamond_with_top, from_order
+from .lattice import HeytingAlgebra, diamond_with_top, from_order, name_pairs
 
 MAX_FUZZY_SIZE = 64
 
@@ -124,12 +124,9 @@ def build_fuzzy_algebra(inst: FuzzyInstance) -> FuzzyAlgebraResult:
     carrier = tuple(itertools.product(range(base.n), repeat=u))
     names = tuple(predicate_name(inst, phi) for phi in carrier)
     index = {phi: i for i, phi in enumerate(carrier)}
-    pairs = []
-    for i, phi in enumerate(carrier):
-        for j, psi in enumerate(carrier):
-            if all(base.leq[a, b] for a, b in zip(phi, psi)):
-                pairs.append((names[i], names[j]))
-    product = from_order(names, pairs, name=inst.name or "fuzzy_product")
+    points = np.array(carrier)
+    pointwise = base.leq[points[:, None], points[None]].all(axis=2)
+    product = from_order(names, name_pairs(pointwise, names), name=inst.name or "fuzzy_product")
     tables = {
         kind: [index[fuzzy_op(inst, kind, phi)] for phi in carrier] for kind in _KINDS
     }

@@ -1,10 +1,11 @@
 """Finite posets and Heyting algebras.
 
 Carriers are index sets 0..n-1 with a parallel tuple of element names.
-Order and operation tables are read-only numpy arrays.  Subsets of a
-carrier are fixed-width boolean vectors packed into Python ints
-(bit i set <=> element i in the subset); all set operations are the
-corresponding bitwise ones.
+Order and operation tables are read-only numpy arrays.  At the API a
+subset of a carrier is a Python int mask (bit i set <=> element i in
+the subset); inside the sweeps and the duality builders a family of
+subsets is a bool matrix with one row per subset, and set operations
+are array operations on its rows.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def transitive_closure(leq: np.ndarray) -> np.ndarray:
 def mask_rows(rel: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is rel[i, j]."""
     return tuple(sum(1 << j for j, b in enumerate(row) if b) for row in rel.tolist())
+
+
+def bool_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    """The inverse of mask_rows: row i, column j is bit j of masks[i].
+    The masks pass through int64, so width must be at most 63."""
+    return (np.array(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(width) & 1).astype(bool)
+
+
+def name_pairs(rel: np.ndarray, names: Sequence[str]) -> list[list[str]]:
+    """[names[i], names[j]] for every true rel[i, j], row by row."""
+    return [[names[i], names[j]] for i, j in np.argwhere(rel).tolist()]
 
 
 def up_sets(leq: np.ndarray, stop: Optional[int] = None) -> tuple[int, ...]:
@@ -315,8 +327,7 @@ def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
         grown = set()
         for geq in posets:
             k = len(geq)
-            rel = np.array([[r >> j & 1 for j in range(k)] for r in geq], dtype=bool)
-            downs = up_sets(rel.reshape(k, k))
+            downs = up_sets(bool_rows(geq, k))
             if len(downs) == n:
                 rows = tuple(
                     sum(1 << j for j, v in enumerate(downs) if u & ~v == 0) for u in downs
@@ -333,10 +344,7 @@ def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
 def _algebra_from_rows(rows: tuple[int, ...], name: str = "") -> HeytingAlgebra:
     n = len(rows)
     names = tuple(f"e{i}" for i in range(n))
-    pairs = [
-        (names[i], names[j]) for i in range(n) for j in range(n) if rows[i] >> j & 1
-    ]
-    return from_order(names, pairs, name=name)
+    return from_order(names, name_pairs(bool_rows(rows, n), names), name=name)
 
 
 @lru_cache(maxsize=None)

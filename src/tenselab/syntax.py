@@ -225,11 +225,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # ----------------------------------------------------------------- parsing
 
 
+# Deepest nesting a formula may have: the connectives, modalities and open
+# parentheses on one root-to-leaf path.  Every later pass over a formula
+# recurses along its paths, so the parser refuses deeper input.
+MAX_FORMULA_DEPTH = 100
+
+# binary token -> (precedence, node); "->" is right associative, the rest left
+_BINARY_TOKENS = {"IFF": (0, Iff), "IMP": (1, Imp), "OR": (2, Or), "AND": (3, And)}
+
+
 class _Parser:
+    """Precedence climbing in which every rule returns (formula, depth).
+
+    open counts the nodes and parentheses around the current token.  It
+    bounds the final depth from below, so checking it on every descent
+    keeps the recursion within MAX_FORMULA_DEPTH levels.
+    """
+
     def __init__(self, text: str, allow_meta: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allow_meta = allow_meta
+        self.open = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -245,66 +262,62 @@ class _Parser:
             raise ParseError(tok[2], f"expected {kind}, found {tok[1]!r}")
         return self.advance()
 
+    @staticmethod
+    def deeper(pos: int, depth: int) -> int:
+        """depth + 1, for one more connective, modality or parenthesis at pos."""
+        if depth >= MAX_FORMULA_DEPTH:
+            raise ParseError(pos, f"formula nested deeper than {MAX_FORMULA_DEPTH}")
+        return depth + 1
+
+    def inside(self, pos: int, rule, *args) -> tuple[Formula, int]:
+        """rule(*args), read inside one more node or parenthesis opened at pos."""
+        self.open = self.deeper(pos, self.open)
+        out = rule(*args)
+        self.open -= 1
+        return out
+
     def parse(self) -> Formula:
-        f = self.iff()
+        f, _ = self.formula(0)
         tok = self.peek()
         if tok[0] != "EOF":
             raise ParseError(tok[2], f"unexpected trailing input {tok[1]!r}")
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek()[0] == "IFF":
-            self.advance()
-            f = Iff(f, self.imp())
-        return f
+    def formula(self, min_prec: int) -> tuple[Formula, int]:
+        f, d = self.unary()
+        while self.peek()[0] in _BINARY_TOKENS:
+            prec, node = _BINARY_TOKENS[self.peek()[0]]
+            if prec < min_prec:
+                break
+            pos = self.advance()[2]
+            g, e = self.inside(pos, self.formula, prec if node is Imp else prec + 1)
+            f, d = node(f, g), self.deeper(pos, max(d, e))
+        return f, d
 
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek()[0] == "IMP":
-            self.advance()
-            return Imp(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "OR":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "AND":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, value, pos = self.peek()
-        if kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if kind == "IDENT" and value in _UNARY_WORDS:
-            self.advance()
-            return _UNARY_WORDS[value](self.unary())
-        return self.atom()
+        op = Not if kind == "NOT" else _UNARY_WORDS.get(value) if kind == "IDENT" else None
+        if op is None:
+            return self.atom()
+        self.advance()
+        f, d = self.inside(pos, self.unary)
+        return op(f), self.deeper(pos, d)
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         kind, value, pos = self.advance()
         if kind == "LPAREN":
-            f = self.iff()
+            f, d = self.inside(pos, self.formula, 0)
             self.expect("RPAREN")
-            return f
+            return f, self.deeper(pos, d)
         if kind == "IDENT":
             if value == "top":
-                return Top()
+                return Top(), 0
             if value == "bot":
-                return Bot()
+                return Bot(), 0
             if value[0].islower():
-                return Var(value)
+                return Var(value), 0
             if self.allow_meta:
-                return MetaVar(value)
+                return MetaVar(value), 0
             raise ParseError(
                 pos, f"uppercase identifier {value!r} (metavariable) not allowed"
             )

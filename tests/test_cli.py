@@ -69,6 +69,51 @@ class TestParse:
         assert run(capsys, "parse", text) == (cli.USAGE, "", expected)
 
 
+# formulas with `depth` connectives, modalities or parentheses on one path
+NESTED = {
+    "negations": lambda depth: "~" * depth + "p",
+    "and_chain": lambda depth: "p & " * depth + "p",
+    "imp_chain": lambda depth: "p -> " * depth + "p",
+    "parentheses": lambda depth: "(" * depth + "p" + ")" * depth,
+}
+
+
+class TestFormulaDepth:
+    COMMANDS = {
+        "parse": lambda f: ["parse", f],
+        "eval": lambda f: ["eval", "--algebra", "chain3", "--formula", f, "--set", "p=m"],
+        "validity": lambda f: ["validity", "--algebra", "chain3_identity", "--formula", f],
+    }
+
+    @pytest.mark.parametrize("shape", NESTED)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_depth_at_the_bound_is_read(self, capsys, shape, command):
+        code, out, err = run(capsys, *self.COMMANDS[command](NESTED[shape](100)))
+        assert code in (cli.OK, cli.FOUND) and out and err == ""
+
+    # 600 levels exhaust Python's default recursion limit in a plain recursive descent
+    @pytest.mark.parametrize("depth", [101, 600])
+    @pytest.mark.parametrize("shape", NESTED)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_depth_past_the_bound_is_usage_error(self, capsys, shape, command, depth):
+        code, out, err = run(capsys, *self.COMMANDS[command](NESTED[shape](depth)))
+        assert (code, out) == (cli.USAGE, "")
+        assert err.startswith("error: formula nested deeper than 100 at position ")
+
+    @pytest.mark.parametrize("depth, want", [(100, cli.FOUND), (101, cli.USAGE)])
+    def test_proof_theorem(self, capsys, tmp_path, depth, want):
+        script = tmp_path / "deep.json"
+        script.write_text(json.dumps({
+            "system": "Int",
+            "theorem": NESTED["imp_chain"](depth),
+            "steps": [{"axiom": "K", "subst": {"A": "p", "B": "p"}}],
+        }))
+        code, out, err = run(capsys, "check-proof", "--script", str(script))
+        assert code == want
+        if want == cli.USAGE:
+            assert (out, err) == ("", "error: formula nested deeper than 100 at position 502\n")
+
+
 class TestCheckAlgebra:
     def test_bare_heyting_stock(self, capsys):
         code, out, err = run(capsys, "check-algebra", "--algebra", "chain3")
@@ -489,7 +534,7 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "bounds",
-        ["size", "shoes=2", "size=two", "size=9", "frames=4"],
+        ["size", "shoes=2", "size=two", "size=9", "frames=4", "size=9,size=2"],
     )
     def test_bad_bounds(self, capsys, bounds):
         code, out, err = run(
@@ -547,6 +592,12 @@ class TestEquiv:
         assert code == cli.USAGE
         assert out == ""
         assert err.startswith("error: unknown bounds key 'vars' (want size/pairs/seconds)")
+
+    def test_repeated_bounds_key(self, capsys):
+        code, out, err = run(
+            capsys, "equiv", "--laws-a", "fs1", "--laws-b", "d1", "--bounds", "size=9,size=2"
+        )
+        assert (code, out, err) == (cli.USAGE, "", "error: bounds key 'size' given twice\n")
 
     def test_bad_direction_is_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from tenselab.algebra import (
+    attach_ops,
     dunn_separating_algebra,
     evaluate,
     identity_expansion,
     stock_algebras,
 )
 from tenselab.duality import (
+    CanonicalFrameResult,
+    ComplexAlgebraResult,
     DegenerateAlgebra,
     EmbeddingReport,
     NotAnH2GCFSAlgebra,
@@ -21,15 +24,25 @@ from tenselab.duality import (
     prime_filters,
 )
 from tenselab.frames import (
+    Frame,
     Model,
     check_ik_frame,
     compose,
     enumerate_frames,
+    make_frame,
     stock_frames,
     truth_set,
 )
 from tenselab.fuzzy import build_fuzzy_algebra, dunn2_failure_instance
-from tenselab.lattice import chain, diamond, diamond_with_bottom, enumerate_heyting, up_sets
+from tenselab.lattice import (
+    chain,
+    diamond,
+    diamond_with_bottom,
+    enumerate_heyting,
+    from_order,
+    mask_rows,
+    up_sets,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -58,6 +71,78 @@ def _brute_prime_filters(base):
         if up and meets and prime:
             out.append(mask)
     return tuple(out)
+
+
+def _inverse_image_mask(table, filter_mask):
+    """{a : table[a] in filter} as a bitmask."""
+    return sum(1 << a for a in range(len(table)) if (filter_mask >> int(table[a])) & 1)
+
+
+def _loop_canonical_frame(alg):
+    """canonical_frame one filter pair at a time, on filter bitmasks."""
+    if not alg.laws.all_green:
+        raise NotAnH2GCFSAlgebra(alg.laws.failures())
+    base = alg.base
+    ups = mask_rows(base.leq)
+    filters = tuple(sorted(ups[a] for a in base.join_irreducibles()))
+    k = len(filters)
+    if k == 0:
+        raise DegenerateAlgebra()
+    names = []
+    for fm in filters:
+        members = [a for a in range(base.n) if (fm >> a) & 1]
+        names.append("^" + base.names[base.meet_all(members)])
+    leq = np.zeros((k, k), dtype=bool)
+    r_fwd = np.zeros((k, k), dtype=bool)
+    r_bwd = np.zeros((k, k), dtype=bool)
+    box_inv = [_inverse_image_mask(alg.box, fm) for fm in filters]
+    dia_inv = [_inverse_image_mask(alg.dia, fm) for fm in filters]
+    bbox_inv = [_inverse_image_mask(alg.bbox, fm) for fm in filters]
+    bdia_inv = [_inverse_image_mask(alg.bdia, fm) for fm in filters]
+    for i, fi in enumerate(filters):
+        for j, fj in enumerate(filters):
+            leq[i, j] = (fi & ~fj) == 0
+            r_fwd[i, j] = (box_inv[i] & ~fj) == 0 and (fj & ~dia_inv[i]) == 0
+            r_bwd[i, j] = (bbox_inv[j] & ~fi) == 0 and (fi & ~bdia_inv[j]) == 0
+    agrees = bool((r_fwd == r_bwd).all())
+    frame = Frame(tuple(names), leq, r_fwd, name="canonical")
+    return CanonicalFrameResult(frame, filters, agrees)
+
+
+def _loop_complex_algebra(frame):
+    """complex_algebra one up-set and one world at a time, on bitmasks."""
+    report = check_ik_frame(frame)
+    if not report.is_ik:
+        raise NotAnIKFrame(report)
+    carrier = up_sets(frame.leq)
+    index = {m: i for i, m in enumerate(carrier)}
+    names = tuple(
+        "{" + ",".join(frame.names[i] for i in range(frame.n) if (m >> i) & 1) + "}"
+        for m in carrier
+    )
+    pairs = []
+    for a, ma in enumerate(carrier):
+        for b, mb in enumerate(carrier):
+            if (ma & ~mb) == 0:
+                pairs.append((names[a], names[b]))
+    base = from_order(names, pairs, name=f"complex({frame.name or 'frame'})")
+    n = frame.n
+    r_rows = mask_rows(frame.r)
+    r_cols = mask_rows(frame.r.T)
+    g_rows = mask_rows(frame.leq_r)
+    h_cols = mask_rows(frame.r_up.T)
+    dia_t, box_t, bdia_t, bbox_t = [], [], [], []
+    for m in carrier:
+        dia_m = sum(1 << x for x in range(n) if r_rows[x] & m)
+        box_m = sum(1 << x for x in range(n) if not (g_rows[x] & ~m))
+        bdia_m = sum(1 << x for x in range(n) if r_cols[x] & m)
+        bbox_m = sum(1 << x for x in range(n) if not (h_cols[x] & ~m))
+        dia_t.append(index[dia_m])
+        box_t.append(index[box_m])
+        bdia_t.append(index[bdia_m])
+        bbox_t.append(index[bbox_m])
+    alg = attach_ops(base, dia_t, box_t, bdia_t, bbox_t)
+    return ComplexAlgebraResult(alg, carrier)
 
 
 def _loop_embedding(alg):
@@ -187,6 +272,24 @@ class TestCanonicalFrame:
         with pytest.raises(DegenerateAlgebra):
             canonical_frame(identity_expansion(chain(1)))
 
+    def test_matches_loop_oracle(self, h2gc_fs_upto5):
+        assert len(h2gc_fs_upto5) == 807
+        # the stock bases and the fuzzy product are not canonically labeled
+        others = [identity_expansion(b) for b in (chain(3), diamond(), diamond_with_bottom())]
+        others.append(build_fuzzy_algebra(dunn2_failure_instance()).algebra)
+        for alg in (*h2gc_fs_upto5, *others):
+            if alg.n == 1:
+                for build in (canonical_frame, _loop_canonical_frame):
+                    with pytest.raises(DegenerateAlgebra):
+                        build(alg)
+                continue
+            got, want = canonical_frame(alg), _loop_canonical_frame(alg)
+            assert got.frame.names == want.frame.names, alg
+            assert (got.frame.leq == want.frame.leq).all(), alg
+            assert (got.frame.r == want.frame.r).all(), alg
+            assert got.filters == want.filters, alg
+            assert got.key_lemma_agrees is want.key_lemma_agrees, alg
+
     def test_both_relation_readings_agree(self, h2gc_fs_upto4):
         for alg in h2gc_fs_upto4:
             if alg.n == 1:
@@ -219,6 +322,16 @@ class TestComplexAlgebra:
                 ):
                     table = getattr(res.algebra, op)
                     assert res.carrier[int(table[i])] == truth_set(model, text)
+
+    def test_matches_loop_oracle(self, ik_frames_upto3):
+        assert len(ik_frames_upto3) == 855
+        for fr in ik_frames_upto3:
+            got, want = complex_algebra(fr), _loop_complex_algebra(fr)
+            assert got.algebra.names == want.algebra.names, fr
+            assert (got.algebra.base.leq == want.algebra.base.leq).all(), fr
+            for op in ("dia", "box", "bdia", "bbox"):
+                assert getattr(got.algebra, op).tolist() == getattr(want.algebra, op).tolist()
+            assert got.carrier == want.carrier, fr
 
     def test_rejects_non_ik(self):
         with pytest.raises(NotAnIKFrame) as exc:
@@ -273,6 +386,16 @@ class TestEmbedding:
             # plain Python values, as the CLI's JSON needs
             flags = (rep.injective, rep.surjective, *rep.operations.values())
             assert {type(v) for v in flags} == {bool}
+
+    def test_wide_algebra_matches_loop_oracle(self):
+        # 64 up-sets, so filter masks reach bit 63 and no longer fit in int64
+        names = [f"w{i}" for i in range(6)]
+        r = [(names[i], names[(i + 1) % 6]) for i in range(6)] + [("w0", "w0")]
+        alg = complex_algebra(make_frame(names, [], r, name="cycle6")).algebra
+        assert alg.n == 64
+        rep = embedding_check(alg)
+        assert rep == _loop_embedding(alg)
+        assert rep.filters == 6 and rep.is_isomorphism
 
     FORMULAS = (
         "p",

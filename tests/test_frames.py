@@ -20,7 +20,6 @@ from tenselab.frames import (
     satisfies,
     stock_frames,
     truth_set,
-    truth_worlds,
 )
 from tenselab.lattice import canonical_code, mask_rows, transitive_closure, up_sets
 from tenselab.syntax import (
@@ -43,6 +42,12 @@ from tenselab.syntax import (
 from util import peak_allocation, random_formula
 
 # ---------------------------------------------------------------- oracles
+
+
+def truth_worlds(model, formula):
+    """Names of the worlds where the formula holds, in world order."""
+    mask = truth_set(model, formula)
+    return tuple(n for i, n in enumerate(model.frame.names) if mask & (1 << i))
 
 
 def _holds(fr, val, x, f):

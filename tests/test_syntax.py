@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from tenselab.formats import load_proof
 from tenselab.syntax import (
+    MAX_FORMULA_DEPTH,
     PROGRAM_CACHE_SIZE,
     And,
     BBox,
@@ -126,6 +127,22 @@ class TestParsing:
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError):
             parse_formula("(p -> q")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 50 modalities, 25 parentheses and a chain of 25 conjunctions
+            "G ~" * 25 + "(" * 25 + "p" + " & q" * 25 + ")" * 25,
+            # -> is right associative: the last (p | q) sits under 98 arrows
+            "(p | q) -> " * 98 + "p",
+            "~" + "P (p <-> " * 33 + "q" + ")" * 33,
+        ],
+    )
+    def test_depth_counts_every_construct_on_a_path(self, text):
+        parse_formula(text)
+        for deeper in ("(" + text + ")", "~(" + text + ")", "(" + text + ") & p"):
+            with pytest.raises(ParseError, match=f"nested deeper than {MAX_FORMULA_DEPTH}"):
+                parse_formula(deeper)
 
     def test_reserved_names(self):
         assert not is_valid_var_name("dia")

@@ -11,6 +11,10 @@ that keeps every result keeps the document byte for byte.  It covers
   witnesses, as counts plus one digest per base;
 - searches, equiv runs and conservativity checks: status, counts and
   witness;
+- duality, as a count and one digest per size: the canonical frame and
+  embedding report of every H2GC+FS combo up to size 5, and the complex
+  algebra (names, leq, tables, carrier, law bits) of every frame in
+  enumerate_frames(3);
 - the CLI: exit code, stdout (JSON parsed where it is JSON) and stderr
   of a fixed list of commands, run in this process.
 
@@ -21,6 +25,7 @@ combos; a run takes about half a minute on a 2-core machine.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,7 +44,8 @@ from tenselab.algebra import (
     enumerate_op_combos,
     stock_algebras,
 )
-from tenselab.frames import stock_frames
+from tenselab.duality import DegenerateAlgebra, canonical_frame, complex_algebra, embedding_check
+from tenselab.frames import enumerate_frames, stock_frames
 from tenselab.lattice import enumerate_heyting
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +174,47 @@ def conservativity() -> list:
     return out
 
 
+def _digest_by_size(records) -> dict:
+    """{size: {"count", "digest"}} over (size, JSON-able record) pairs."""
+    out = {}
+    for size, record in records:
+        entry = out.setdefault(str(size), {"count": 0, "digest": hashlib.sha256()})
+        entry["count"] += 1
+        entry["digest"].update(json.dumps(record).encode() + b"\n")
+    return {k: {"count": v["count"], "digest": v["digest"].hexdigest()} for k, v in out.items()}
+
+
+def _canonical_record(alg) -> list:
+    try:
+        cf = canonical_frame(alg)
+    except DegenerateAlgebra:
+        frame = "degenerate"
+    else:
+        fr = cf.frame
+        frame = [
+            fr.name, fr.names, fr.leq.astype(int).tolist(), fr.r.astype(int).tolist(),
+            cf.filters, cf.key_lemma_agrees,
+        ]
+    return [frame, dataclasses.asdict(embedding_check(alg))]
+
+
+def _complex_record(frame) -> list:
+    ca = complex_algebra(frame)
+    alg = ca.algebra
+    return [
+        alg.base.name, alg.names, alg.base.leq.astype(int).tolist(), _tables(alg),
+        ca.carrier, alg.laws.bits,
+    ]
+
+
+def duality() -> dict:
+    green = (alg for alg in enumerate_op_combos(5) if alg.laws.all_green)
+    return {
+        "canonical": _digest_by_size((alg.n, _canonical_record(alg)) for alg in green),
+        "complex": _digest_by_size((fr.n, _complex_record(fr)) for fr in enumerate_frames(3)),
+    }
+
+
 def _commands() -> list[list[str]]:
     algebras = list(stock_algebras()) + sorted(
         str(p.relative_to(ROOT)) for p in (CORPUS / "algebras").glob("*.json")
@@ -196,6 +243,8 @@ def _commands() -> list[list[str]]:
         ["equiv", "--json", "--laws-a", "fs1", "--laws-b", "d1", "--bounds", "size=5"],
         ["equiv", "--json", "--laws-a", "fs1", "--laws-b", "fs2"],
         ["equiv", "--json", "--laws-a", "nope", "--laws-b", "fs2"],
+        ["equiv", "--laws-a", "fs1", "--laws-b", "d1", "--bounds", "size=9,size=2"],
+        ["parse", "~" * 101 + "p"],
         ["fuzzy-build", "--json", "--dump", "--instance", "corpus/fuzzy/dunn2_two_point.json"],
         ["fixtures", "--json"],
     ]
@@ -229,6 +278,7 @@ def main() -> int:
         "searches": searches(),
         "equiv": equivs(),
         "conservativity": conservativity(),
+        "duality": duality(),
         "cli": commands(),
     }
     json.dump(doc, sys.stdout, indent=1)
