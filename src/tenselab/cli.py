@@ -99,7 +99,10 @@ def _assignments(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise UsageError(f"bad assignment {pair!r} (want var=element)")
         var, _, value = pair.partition("=")
-        out[var.strip()] = value.strip()
+        var = var.strip()
+        if var in out:
+            raise UsageError(f"variable {var!r} set twice")
+        out[var] = value.strip()
     return out
 
 

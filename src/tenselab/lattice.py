@@ -5,12 +5,15 @@ Order and operation tables are read-only numpy arrays.  At the API a
 subset of a carrier is a Python int mask (bit i set <=> element i in
 the subset); inside the sweeps and the duality builders a family of
 subsets is a bool matrix with one row per subset, and set operations
-are array operations on its rows.
+are array operations on its rows.  Isomorphism classes are found by
+relabeling a relation under every permutation at once, as one array
+(relabeled_codes), and keeping its least copy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -283,30 +286,49 @@ def _first_true(grid: np.ndarray) -> Optional[tuple[int, ...]]:
 MAX_ENUM_SIZE = 7
 
 
-def relabelings(*relations: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every relabeled copy of row-mask relations on one carrier.
+# A relabeled copy of a relation rel under a permutation p of its carrier
+# has cell (i, j) = rel[p[i], p[j]].  Copies are compared by one integer
+# each, with row i packed into byte i and row 0 most significant.  So a
+# carrier has at most 8 points, where one relation has n! * n^2 = 2.6 M
+# copy cells.
+MAX_RELABEL_SIZE = 8
 
-    Each permutation p of the carrier gives one copy: its row i is row
-    p[i] of the original with bit p[j] moved to bit j.
+
+@lru_cache(maxsize=None)
+def permutations(n: int) -> np.ndarray:
+    """All n! permutations of range(n) as a read-only (n!, n) array, in
+    itertools order, so row 0 is the identity."""
+    if n > MAX_RELABEL_SIZE:
+        raise OrderError(f"relabeling capped at {MAX_RELABEL_SIZE} points")
+    count = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return _freeze(np.fromiter(flat, dtype=np.intp, count=count * n).reshape(count, n))
+
+
+def relabeled_codes(rels: np.ndarray, perms: np.ndarray, bitorder: str) -> np.ndarray:
+    """Code of each relation of a (..., n, n) bool stack relabeled by each
+    row of perms, as a (..., len(perms)) uint64 array.
+
+    Equal codes mean equal copies.  Codes order the copies by their rows
+    in turn, each row read as a byte: with bitorder "little" bit j is
+    column j, as in mask_rows; with "big" column 0 is the high bit, so
+    the codes order the cells as itertools.product does, first cell most
+    significant.
     """
-    n = len(relations[0])
-    for perm in itertools.permutations(range(n)):
-        code = []
-        for rel in relations:
-            rows = []
-            for pi in perm:
-                src, m = rel[pi], 0
-                for j, pj in enumerate(perm):
-                    if src >> pj & 1:
-                        m |= 1 << j
-                rows.append(m)
-            code.append(tuple(rows))
-        yield tuple(code)
+    n = rels.shape[-1]
+    copies = rels[..., perms[:, :, None], perms[:, None, :]]
+    weights = 1 << np.arange(n) if bitorder == "little" else 128 >> np.arange(n)
+    packed = np.zeros(copies.shape[:-2] + (8,), dtype=np.uint8)
+    packed[..., :n] = copies.view(np.uint8) @ weights.astype(np.uint8)
+    return packed.view(">u8")[..., 0].astype(np.uint64)
 
 
-def canonical_code(*relations: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Least relabeled copy: equal codes <=> isomorphic structures."""
-    return min(relabelings(*relations))
+def canonical_rows(rel: np.ndarray) -> tuple[int, ...]:
+    """Row masks (bit j = column j) of the least relabeled copy of an n x n
+    bool relation, rows compared in turn: equal for isomorphic relations."""
+    n = len(rel)
+    code = int(relabeled_codes(rel, permutations(n), "little").min())
+    return tuple(code >> 8 * (7 - i) & 0xFF for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -329,14 +351,12 @@ def _iso_classes(n: int) -> tuple[tuple[int, ...], ...]:
             k = len(geq)
             downs = up_sets(bool_rows(geq, k))
             if len(downs) == n:
-                rows = tuple(
-                    sum(1 << j for j, v in enumerate(downs) if u & ~v == 0) for u in downs
-                )
-                found.add(canonical_code(rows)[0])
+                sets = np.array(downs)
+                found.add(canonical_rows(sets[:, None] & ~sets[None, :] == 0))
                 continue
             for d in downs:
                 if len(downs) + sum(d & ~e == 0 for e in downs) <= n:
-                    grown.add(canonical_code(geq + (d | 1 << k,))[0])
+                    grown.add(canonical_rows(bool_rows(geq + (d | 1 << k,), k + 1)))
         posets = grown
     return tuple(sorted(found))
 

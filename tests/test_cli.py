@@ -283,6 +283,14 @@ class TestEval:
         )
         assert (code, out, err) == (cli.USAGE, "", "error: unknown name 'zz'\n")
 
+    @pytest.mark.parametrize("second", ["p=0", " p =0"])
+    def test_variable_set_twice(self, capsys, second):
+        code, out, err = run(
+            capsys, "eval", "--algebra", "chain3", "--formula", "p",
+            "--set", "p=1", "--set", second,
+        )
+        assert (code, out, err) == (cli.USAGE, "", "error: variable 'p' set twice\n")
+
 
 class TestValidity:
     def test_valid(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tenselab.frames import (
     stock_frames,
     truth_set,
 )
-from tenselab.lattice import canonical_code, mask_rows, transitive_closure, up_sets
+from tenselab.lattice import mask_rows, transitive_closure, up_sets
 from tenselab.syntax import (
     And,
     BBox,
@@ -39,7 +40,7 @@ from tenselab.syntax import (
     parse_formula,
 )
 
-from util import peak_allocation, random_formula
+from util import canonical_code, loop_frames, peak_allocation, random_formula
 
 # ---------------------------------------------------------------- oracles
 
@@ -496,6 +497,32 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             list(enumerate_frames(4))
+
+    def test_matches_candidate_loop(self, ik_frames_upto3):
+        # the loop over all 14,914 labeled candidates meets each class
+        # first in the copy the array listing keeps, in the same order
+        oracle = list(loop_frames(3))
+        assert len(oracle) == len(ik_frames_upto3) == 855
+        for got, want in zip(ik_frames_upto3, oracle):
+            assert (got.name, got.names) == (want.name, want.names)
+            assert got.leq.dtype == got.r.dtype == bool
+            assert (got.leq == want.leq).all() and (got.r == want.r).all()
+            assert got.leq.flags.c_contiguous and got.r.flags.c_contiguous
+        assert not np.shares_memory(ik_frames_upto3[0].r, ik_frames_upto3[1].r)
+
+    def test_counts_per_world_count(self, ik_frames_upto3):
+        assert Counter(f.n for f in ik_frames_upto3) == {1: 2, 2: 25, 3: 828}
+        # with the discrete order these are the classical K_t frames,
+        # digraphs with loops allowed: OEIS A000595
+        discrete = Counter(f.n for f in ik_frames_upto3 if f.leq.sum() == f.n)
+        assert discrete == {1: 2, 2: 10, 3: 104}
+
+    def test_four_world_counts(self):
+        total = discrete = 0
+        for leq, r in frames._ik_frames(4):
+            total += 1
+            discrete += int(leq.sum()) == 4
+        assert (total, discrete) == (106_865, 3_044)
 
     def test_sampling_deterministic(self):
         a = sample_frames(4, 5, seed=7)

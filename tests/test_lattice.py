@@ -1,28 +1,35 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tenselab.lattice import (
+    MAX_RELABEL_SIZE,
     HeytingAlgebra,
     NoBounds,
     NotALattice,
     NotAPartialOrder,
     NotDistributive,
     OrderError,
-    canonical_code,
+    bool_rows,
+    canonical_rows,
     chain,
     diamond,
     diamond_with_bottom,
     diamond_with_top,
     enumerate_heyting,
     from_order,
-    relabelings,
+    mask_rows,
+    permutations,
+    relabeled_codes,
     transitive_closure,
     up_sets,
 )
 from tenselab.lattice import _check_residuation, _iso_classes
+
+from util import canonical_code, relabelings
 
 # ------------------------------------------------------------------ oracles
 
@@ -156,6 +163,46 @@ class TestEnumeration:
             list(enumerate_heyting(8))
         with pytest.raises(OrderError):
             list(enumerate_heyting(0))
+
+
+def _cells(code: int, n: int, bitorder: str) -> tuple[bool, ...]:
+    """The n * n cells, row by row, of a relabeled_codes code."""
+    bits = range(n) if bitorder == "little" else range(7, 7 - n, -1)
+    return tuple(bool(code >> 8 * (7 - i) + b & 1) for i in range(n) for b in bits)
+
+
+class TestRelabeling:
+    def test_permutations(self):
+        for n in range(MAX_RELABEL_SIZE + 1):
+            perms = permutations(n)
+            assert perms.shape == (math.factorial(n), n) and not perms.flags.writeable
+            assert [tuple(p) for p in perms.tolist()] == list(itertools.permutations(range(n)))
+        with pytest.raises(OrderError):
+            permutations(MAX_RELABEL_SIZE + 1)
+
+    def test_codes_match_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(120):
+            n = int(rng.integers(1, 6))
+            rel = rng.random((n, n)) < rng.random()
+            copies = [tuple(bool_rows(c, n).ravel().tolist()) for (c,) in relabelings(mask_rows(rel))]
+            for bitorder in ("little", "big"):
+                codes = relabeled_codes(rel, permutations(n), bitorder).tolist()
+                assert [_cells(c, n, bitorder) for c in codes] == copies
+            # rows compared in turn as masks, as _iso_classes compares them
+            assert canonical_rows(rel) == canonical_code(mask_rows(rel))[0]
+            # cells in product order, as enumerate_frames compares them
+            least = relabeled_codes(rel, permutations(n), "big").min()
+            assert _cells(int(least), n, "big") == min(copies)
+
+    def test_stack_codes_match_single(self):
+        rng = np.random.default_rng(6)
+        rels = rng.random((5, 2, 4, 4)) < 0.5
+        perms = permutations(4)[::5]
+        codes = relabeled_codes(rels, perms, "big")
+        assert codes.shape == (5, 2, len(perms)) and codes.dtype == np.uint64
+        for i, j in itertools.product(range(5), range(2)):
+            assert (codes[i, j] == relabeled_codes(rels[i, j], perms, "big")).all()
 
 
 def _isomorphic(a: HeytingAlgebra, b: HeytingAlgebra) -> bool:

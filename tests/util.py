@@ -1,7 +1,14 @@
-"""Small helpers shared between test modules."""
+"""Small helpers shared between test modules, and the scalar relabeling
+and frame-listing loops kept as oracles for the array engine."""
 
+import itertools
 import random
 import tracemalloc
+
+import numpy as np
+
+from tenselab.frames import Frame, check_ik_frame, compose
+from tenselab.lattice import mask_rows
 
 from tenselab.syntax import (
     And,
@@ -53,3 +60,71 @@ def peak_allocation(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ------------------------------------------------- relabeling oracles
+
+
+def relabelings(*relations: tuple[int, ...]):
+    """Every relabeled copy of row-mask relations on one carrier.
+
+    Each permutation p of the carrier gives one copy: its row i is row
+    p[i] of the original with bit p[j] moved to bit j.
+    """
+    n = len(relations[0])
+    for perm in itertools.permutations(range(n)):
+        code = []
+        for rel in relations:
+            rows = []
+            for pi in perm:
+                src, m = rel[pi], 0
+                for j, pj in enumerate(perm):
+                    if src >> pj & 1:
+                        m |= 1 << j
+                rows.append(m)
+            code.append(tuple(rows))
+        yield tuple(code)
+
+
+def canonical_code(*relations: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Least relabeled copy: equal codes <=> isomorphic structures."""
+    return min(relabelings(*relations))
+
+
+# ------------------------------------------------ frame-listing oracle
+
+
+def all_preorders(n: int) -> list[np.ndarray]:
+    """Every reflexive-transitive relation on n labeled points."""
+    out = []
+    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((False, True), repeat=len(off_diag)):
+        m = np.eye(n, dtype=bool)
+        for (i, j), b in zip(off_diag, bits):
+            m[i, j] = b
+        if (compose(m, m) & ~m).any():
+            continue
+        out.append(m)
+    return out
+
+
+def loop_frames(n_max: int):
+    """frames.enumerate_frames as a loop over every labeled (preorder, R)
+    candidate, one Frame each, kept when IK and not isomorphic to one
+    kept before."""
+    counter = 0
+    for n in range(1, n_max + 1):
+        names = tuple(f"w{i}" for i in range(n))
+        seen = set()
+        for leq in all_preorders(n):
+            for bits in itertools.product((False, True), repeat=n * n):
+                r = np.array(bits, dtype=bool).reshape(n, n)
+                frame = Frame(names, leq, r, name=f"fr{n}_{counter}")
+                if not check_ik_frame(frame).is_ik:
+                    continue
+                code = canonical_code(frame.up_rows, mask_rows(r))
+                if code in seen:
+                    continue
+                seen.add(code)
+                counter += 1
+                yield frame

@@ -11,6 +11,8 @@ that keeps every result keeps the document byte for byte.  It covers
   witnesses, as counts plus one digest per base;
 - searches, equiv runs and conservativity checks: status, counts and
   witness;
+- the IK frames of enumerate_frames(3), as a count and one digest per
+  size over their names, world names, leq and R, in listing order;
 - duality, as a count and one digest per size: the canonical frame and
   embedding report of every H2GC+FS combo up to size 5, and the complex
   algebra (names, leq, tables, carrier, law bits) of every frame in
@@ -184,6 +186,13 @@ def _digest_by_size(records) -> dict:
     return {k: {"count": v["count"], "digest": v["digest"].hexdigest()} for k, v in out.items()}
 
 
+def frames() -> dict:
+    return _digest_by_size(
+        (fr.n, [fr.name, fr.names, fr.leq.astype(int).tolist(), fr.r.astype(int).tolist()])
+        for fr in enumerate_frames(3)
+    )
+
+
 def _canonical_record(alg) -> list:
     try:
         cf = canonical_frame(alg)
@@ -278,6 +287,7 @@ def main() -> int:
         "searches": searches(),
         "equiv": equivs(),
         "conservativity": conservativity(),
+        "frames": frames(),
         "duality": duality(),
         "cli": commands(),
     }
