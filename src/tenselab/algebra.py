@@ -26,7 +26,6 @@ relative to this list; see the README mapping table.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +40,6 @@ from .lattice import (
     diamond_with_bottom,
     diamond_with_top,
     enumerate_heyting,
-    _iso_bases,
 )
 from .syntax import (
     And,
@@ -329,7 +327,7 @@ class AlgebraWithOps:
             bits = self._bits
             if bits is None:
                 stack = self.base, np.array(f), np.array(g)
-                ((bits, _),) = _grade(*stack, slice(0, 1), slice(1, 2), {})
+                bits = int(_grade(*stack, slice(0, 1), slice(1, 2), {})[0, 0])
             self._laws = LawReport(bits, self.base, f, g)
         return self._laws
 
@@ -374,18 +372,18 @@ def _witness(base: HeytingAlgebra, pairs: tuple, law: str) -> LawWitness:
 
 def _grade(
     base: HeytingAlgebra, f: np.ndarray, g: np.ndarray, rows: slice, cols: slice, graded: dict
-) -> Iterator[tuple[int, tuple[int, int]]]:
+) -> np.ndarray:
     """Verdict bits of the combos (i, k) of a stack of Galois pairs with
-    i in rows and k in cols, graded when first read.
+    i in rows and k in cols, as one int array with a row per i and a
+    column per k (see law_bits for the bits).
 
     f stacks P lower adjoints and g their upper adjoints, one pair per
     row; combo (i, k) reads pair i as (dia, bbox) and pair k as (bdia,
-    box), as _combo builds it.  Yields (bits, (i, k)), i outermost (see
-    law_bits for the bits).  The fourteen laws that read one pair have
-    seven shapes, each graded once per pair of the stack and kept in
-    graded, which the chunks of one stack share.  The eight that read
-    two pairs are graded on the combos asked for, one row of a bool
-    matrix per law.
+    box), as _combo builds it.  The fourteen laws that read one pair
+    have seven shapes, each graded once per pair of the stack and kept
+    in graded, which the chunks of one stack share.  The eight that
+    read two pairs are graded on the combos asked for, one row of a
+    bool matrix per law.
     """
     p = len(f)
     ii, kk = range(p)[rows], range(p)[cols]
@@ -398,8 +396,8 @@ def _grade(
         if sides not in graded:
             graded[sides] = _compare(base, mode, *sides(base, f, g)).reshape(p, -1).all(axis=1)
         held[row] = graded[sides][at[d]]
-    bits = ((1 << np.arange(len(_LAWS))) @ held.reshape(len(_LAWS), -1)).tolist()
-    yield from zip(bits, itertools.product(ii, kk))
+    bits = (1 << np.arange(len(_LAWS))) @ held.reshape(len(_LAWS), -1)
+    return bits.reshape(len(ii), len(kk))
 
 
 def _frozen(tables) -> np.ndarray:
@@ -474,21 +472,26 @@ _TABLE = {Dia: "dia", Box: "box", BDia: "bdia", BBox: "bbox"}
 
 
 def _values(
-    alg: Union[HeytingAlgebra, AlgebraWithOps],
+    base: HeytingAlgebra,
     program: Program,
     env: Mapping[str, np.ndarray],
     size: int,
+    gather: Optional[Callable[[type, np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
-    """Values of a compiled formula, one per column of the env arrays."""
-    with_ops = isinstance(alg, AlgebraWithOps)
-    base = alg.base if with_ops else alg
+    """Values of a compiled formula, one per column of the env arrays.
+
+    gather(kind, values) reads the modal table of a modal kind at some
+    values; without it the formula must be modal-free.  On the combos of
+    a pair stack (see _stack_gather) the values of a modal subformula,
+    and so maybe the result, have one row per combo.
+    """
     for node in program.hazards:
         if isinstance(node, Var):
             if node.name not in env:
                 raise UnboundVariable(node.name)
         elif isinstance(node, MetaVar):
             raise EvalError(f"metavariable {node.name!r} has no semantic value")
-        elif not with_ops:
+        elif gather is None:
             raise ModalOperatorPresent()
     meet, join, imp = base.meet, base.join, base.imp
     vals: list[np.ndarray] = []
@@ -509,10 +512,31 @@ def _values(
             v = np.full(size, base.top, dtype=np.int64)
         elif kind is Bot:
             v = np.full(size, base.bottom, dtype=np.int64)
-        else:  # a modal kind; the hazards ruled out a plain algebra
-            v = getattr(alg, _TABLE[kind])[vals[a]]
+        else:  # a modal kind; the hazards ruled out a missing gather
+            v = gather(kind, vals[a])
         vals.append(v)
     return vals[-1]
+
+
+def _gather(alg: Union[HeytingAlgebra, AlgebraWithOps]):
+    """The base of alg, and how _values reads its modal tables."""
+    if isinstance(alg, AlgebraWithOps):
+        return alg.base, lambda kind, v: getattr(alg, _TABLE[kind])[v]
+    return alg, None
+
+
+def _stack_gather(f: np.ndarray, g: np.ndarray, i: np.ndarray, k: np.ndarray):
+    """How _values reads the modal tables of the combos (i[j], k[j]) of a
+    stack of Galois pairs (see _combo), one row per combo: combo j's
+    table at row j of the values, or at the one row all combos share."""
+    i, k = i[:, None], k[:, None]
+    rows = {Dia: (f, i), BBox: (g, i), BDia: (f, k), Box: (g, k)}
+
+    def gather(kind, v):
+        stack, row = rows[kind]
+        return stack[row, v]
+
+    return gather
 
 
 def evaluate(
@@ -523,12 +547,12 @@ def evaluate(
     """Value of a formula under a total valuation; returns an element index."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    base = alg.base if isinstance(alg, AlgebraWithOps) else alg
+    base, gather = _gather(alg)
     env = {}
     for k, v in valuation.items():
         i = base.index(v) if isinstance(v, str) else int(v)
         env[k] = np.asarray([i], dtype=np.int64)
-    return int(_values(alg, compile_formula(formula), env, 1)[0])
+    return int(_values(base, compile_formula(formula), env, 1, gather)[0])
 
 
 DEFAULT_VAR_CAP = 4
@@ -582,17 +606,44 @@ def algebra_validity(
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    base = alg.base if isinstance(alg, AlgebraWithOps) else alg
+    base, gather = _gather(alg)
     program = compile_formula(formula)
     names = program.variables
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
     for grid in valuation_blocks(base.n, len(names)):
-        bad = _values(alg, program, dict(zip(names, grid)), grid.shape[1]) != base.top
+        bad = _values(base, program, dict(zip(names, grid)), grid.shape[1], gather) != base.top
         if bad.any():
             first = int(np.argmax(bad))
             return {v: int(grid[i, first]) for i, v in enumerate(names)}
     return None
+
+
+def _first_failure(
+    base: HeytingAlgebra,
+    f: np.ndarray,
+    g: np.ndarray,
+    i: np.ndarray,
+    k: np.ndarray,
+    program: Program,
+    grid: np.ndarray,
+) -> Optional[tuple[int, int, int]]:
+    """Where a compiled formula first fails on the combos (i[j], k[j]) of
+    a stack of Galois pairs, under the valuation columns of grid, as
+    valuation_blocks gives them: (j, column, value) for the first
+    failing combo j, its first failing column and the value there, or
+    None when every combo gives top everywhere.  One (combos, columns)
+    array per step of the program."""
+    env = dict(zip(program.variables, grid))
+    vals = _values(base, program, env, grid.shape[1], _stack_gather(f, g, i, k))
+    vals = np.broadcast_to(vals, (len(i), grid.shape[1]))
+    bad = vals != base.top
+    failing = bad.any(axis=1)
+    if not failing.any():
+        return None
+    j = int(failing.argmax())
+    column = int(bad[j].argmax())
+    return j, column, int(vals[j, column])
 
 
 def valuation_names(
@@ -645,39 +696,77 @@ def stock_algebras() -> dict[str, Union[HeytingAlgebra, AlgebraWithOps]]:
     return {name: build() for name, build in STOCK_ALGEBRAS.items()}
 
 
-@lru_cache(maxsize=None)
-def _gc_stacks(n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each size-n base's Galois pairs as read-only (f, g) stacks, one
-    pair per row in enumerate_gc_pairs order, keyed by the base's name.
-    Built once per process."""
-    stacks = {}
-    for base in _iso_bases(n):
-        pairs = enumerate_gc_pairs(base)
-        stacks[base.name] = (_frozen([f for f, _ in pairs]), _frozen([g for _, g in pairs]))
-    return stacks
-
-
-# Cells per two-pair law array: a chunk of the stream pairs as many rows
-# i with all P rows k as fit, and always at least one.
+# Cells per two-pair law array: a chunk of a base's combos pairs as many
+# rows i with all P rows k as fit, and always at least one.
 GRADE_CELLS = 1 << 14
 
+# Per process and keyed by the base's name: each enumerated base's
+# Galois-pair stack, and the verdict bits of its combos.  Both are made
+# when first asked for, so importing and listing bases build neither.
+_PAIR_STACKS: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+_VERDICTS: dict[str, "_Verdicts"] = {}
 
-def _graded_chunks(n_max: int, max_gc_pairs: Optional[int]) -> Iterator[tuple]:
-    """The combo stream a chunk at a time.
 
-    Each item is (base, f, g, combos), where f and g stack the base's
-    Galois pairs and combos is _grade's verdict bits of c rows i of that
-    stack against all P rows k (see _combo), with c as large as keeps
-    each two-pair law's array of c * P * n * n cells within GRADE_CELLS.
-    A chunk is graded when first read, so chunks may be read in any
-    order, or not at all; the one-pair laws with the first chunk read.
+def _gc_stack(base: HeytingAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """An enumerated base's Galois pairs as read-only (f, g) stacks, one
+    pair per row in enumerate_gc_pairs order, built once per process."""
+    stack = _PAIR_STACKS.get(base.name)
+    if stack is None:
+        pairs = enumerate_gc_pairs(base)
+        stack = (_frozen([f for f, _ in pairs]), _frozen([g for _, g in pairs]))
+        _PAIR_STACKS[base.name] = stack
+    return stack
+
+
+class _Verdicts:
+    """The verdict bits of an enumerated base's combos (i, k) with i and
+    k below width, as one (width, width) int array, graded a chunk of
+    rows at a time, in order, when first read.
+
+    A chunk is step rows i against all width rows k, with step as large
+    as keeps each two-pair law's array of step * width * n * n cells
+    within GRADE_CELLS.  The one-pair shapes are graded with the first
+    chunk and kept in graded for the others.
     """
-    for base in enumerate_heyting(n_max):
-        f, g = (s[:max_gc_pairs] for s in _gc_stacks(base.n)[base.name])
-        p, graded = len(f), {}
-        step = max(1, GRADE_CELLS // (p * base.n * base.n))
-        for start in range(0, p, step):
-            yield base, f, g, _grade(base, f, g, slice(start, start + step), slice(None), graded)
+
+    __slots__ = ("base", "f", "g", "width", "step", "bits", "done", "graded")
+
+    def __init__(self, base: HeytingAlgebra, width: int):
+        f, g = _gc_stack(base)
+        self.base, self.f, self.g, self.width = base, f[:width], g[:width], width
+        self.step = max(1, GRADE_CELLS // (width * base.n * base.n))
+        self.bits = np.empty((width, width), dtype=np.int32)
+        self.done = 0  # rows graded so far
+        self.graded: dict = {}
+
+    def chunk(self, start: int, p: int) -> np.ndarray:
+        """The read-only bits of the combos (i, k) with i in the chunk of
+        rows from start and k below p, grading the rows up to it first."""
+        stop = min(start + self.step, p)
+        while self.done < stop:
+            rows = slice(self.done, self.done + self.step)
+            self.bits[rows] = _grade(self.base, self.f, self.g, rows, slice(None), self.graded)
+            self.done = min(rows.stop, self.width)
+        bits = self.bits[start:stop, :p]
+        bits.flags.writeable = False
+        return bits
+
+
+def _verdicts(base: HeytingAlgebra, max_gc_pairs: Optional[int]) -> tuple[_Verdicts, int]:
+    """The kept verdicts of an enumerated base's combos, and the number p
+    of its Galois pairs under the cap max_gc_pairs (None for all).
+
+    A scan reads the top-left p by p block, a chunk of rows at a time:
+    for start in range(0, p, kept.step), kept.chunk(start, p).  Each
+    base keeps one array: a cap within its width reads it, a larger cap
+    replaces it with a wider one, graded anew.
+    """
+    f, _ = _gc_stack(base)
+    p = len(f) if max_gc_pairs is None else min(max_gc_pairs, len(f))
+    kept = _VERDICTS.get(base.name)
+    if kept is None or kept.width < p:
+        kept = _VERDICTS[base.name] = _Verdicts(base, p)
+    return kept, p
 
 
 def enumerate_op_combos(
@@ -689,10 +778,15 @@ def enumerate_op_combos(
     connections of the base, or over the first max_gc_pairs of them
     when that is given, so each structure is H2GC by construction; its
     laws are graded all the same.  Deterministic: base order, then pair
-    indices.  The bases and their Galois pairs are shared with every
-    other call in the process (see enumerate_heyting); the first call
-    to reach a size builds them.
+    indices.  The bases, their Galois pairs and the verdicts of their
+    combos are shared with every other call in the process (see
+    enumerate_heyting and _verdicts); the first call to reach a base
+    builds its pairs, and each chunk of verdicts is graded when first
+    read.
     """
-    for base, f, g, combos in _graded_chunks(n_max, max_gc_pairs):
-        for bits, (i, k) in combos:
-            yield _combo(base, f, g, i, k, bits)
+    for base in enumerate_heyting(n_max):
+        kept, p = _verdicts(base, max_gc_pairs)
+        for start in range(0, p, kept.step):
+            for i, row in enumerate(kept.chunk(start, p).tolist(), start):
+                for k, bits in enumerate(row):
+                    yield _combo(base, kept.f, kept.g, i, k, bits)

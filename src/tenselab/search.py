@@ -7,6 +7,17 @@ propositionally.  All scans walk the same deterministic stream (bases
 by size then canonical code, Galois pairs in table-lexicographic order
 with the second pair varying fastest, valuations lexicographic) so
 golden witnesses stay stable across runs.
+
+The countermodel hunt and the law comparison read the verdict bits of
+each base's combos from arrays kept per base and per process (see
+algebra._verdicts): a chunk is graded the first time any scan reaches
+it, and later scans only read it.  They scan one chunk at a time: one
+mask test over the chunk's bits finds its eligible combos, and the hunt
+evaluates the formula on many of them at once, in blocks of at most
+VALUATION_BLOCK (combo, valuation) cells.  The clock is read before each
+base's Galois pairs are built, before each chunk is graded and before
+each block, so a timeout's combos/eligible count whole chunks; a found
+verdict's count the combos up to and including the witness.
 """
 
 from __future__ import annotations
@@ -15,7 +26,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .algebra import (
     H2GC_FS_LAWS,
@@ -23,14 +37,16 @@ from .algebra import (
     LAW_NAMES,
     AlgebraWithOps,
     CapExceeded,
+    VALUATION_BLOCK,
     EvalError,
     ModalOperatorPresent,
     _combo,
-    _graded_chunks,
+    _first_failure,
+    _verdicts,
     algebra_validity,
-    evaluate,
     identity_expansion,
     law_bits,
+    valuation_blocks,
     valuation_names,
 )
 from .lattice import HeytingAlgebra, enumerate_heyting
@@ -44,6 +60,7 @@ from .syntax import (
     Or,
     Top,
     Var,
+    compile_formula,
     has_modal,
     parse_formula,
     variables_of,
@@ -165,12 +182,15 @@ def _stats(clock: _Clock, **counts: int) -> dict[str, float]:
 def _scan_combos(
     bounds: SearchBounds,
     ambient: Sequence[str],
-    judge: Callable[[AlgebraWithOps], Optional[object]],
+    judge: Callable[..., Iterator[Callable[[], Optional[tuple[int, object]]]]],
 ) -> Verdict:
-    # walk the combo stream a chunk at a time; judge sees each structure
-    # whose ambient laws hold and returns a witness to stop the scan, or
-    # None to go on.  Only those structures are built, and the clock is
-    # read before each chunk is graded and before each combo.
+    # walk the combo stream a chunk of kept verdicts at a time.  For each
+    # chunk, judge(base, f, g, i, k, bits) gets the combos (i[j], k[j])
+    # of the pair stack (f, g) whose ambient laws hold, with their bits,
+    # in stream order; it yields one function per block of them, which
+    # returns (j, witness) for the block's first hit, or None.  The clock
+    # is read before each base's pair stack is built, before each chunk
+    # is graded and before each block; a timeout counts whole chunks.
     clock = _Clock(bounds.deadline_seconds)
     need = law_bits(ambient)
     combos = eligible = 0
@@ -178,21 +198,25 @@ def _scan_combos(
     def verdict(status: str, witness: Optional[object] = None) -> Verdict:
         return Verdict(status, witness, _stats(clock, combos=combos, eligible=eligible))
 
-    for base, f, g, graded in _graded_chunks(
-        bounds.max_algebra_size, bounds.max_gc_pairs
-    ):
+    for base in enumerate_heyting(bounds.max_algebra_size):
         if clock.expired():
             return verdict("timeout")
-        for bits, (i, k) in graded:  # the first read grades the chunk
+        kept, p = _verdicts(base, bounds.max_gc_pairs)
+        for start in range(0, p, kept.step):
             if clock.expired():
                 return verdict("timeout")
-            combos += 1
-            if bits & need != need:
-                continue
-            eligible += 1
-            witness = judge(_combo(base, f, g, i, k, bits))
-            if witness is not None:
-                return verdict("found", witness)
+            bits = kept.chunk(start, p).ravel()
+            ok = np.flatnonzero((bits & need) == need)
+            scanned = combos, eligible
+            combos, eligible = combos + len(bits), eligible + len(ok)
+            for block in judge(base, kept.f, kept.g, start + ok // p, ok % p, bits[ok]):
+                if clock.expired():
+                    return verdict("timeout")
+                hit = block()
+                if hit is not None:
+                    j, witness = hit
+                    combos, eligible = scanned[0] + int(ok[j]) + 1, scanned[1] + j + 1
+                    return verdict("found", witness)
     return verdict("exhausted")
 
 
@@ -206,24 +230,37 @@ def find_algebra_countermodel(
     Only structures whose law report satisfies laws_required are
     eligible; the default restricts the hunt to the class where both
     Galois pairs and all bridge laws hold, so a "found" verdict
-    certifies the formula is not valid over that whole class.
+    certifies the formula is not valid over that whole class.  The
+    formula is evaluated on many eligible combos at once, in blocks of
+    at most VALUATION_BLOCK (combo, valuation) cells, and the witness is
+    the first failing combo in stream order with its first
+    countervaluation; only that combo is built as an AlgebraWithOps.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
     laws_required = _checked_laws(laws_required, "laws_required")
     bounds = bounds or DEFAULT_BOUNDS
-    if len(variables_of(formula)) > bounds.max_vars:
+    program = compile_formula(formula)
+    names = program.variables
+    if len(names) > bounds.max_vars:
         raise CapExceeded("variable count", bounds.max_vars)
 
-    def judge(alg: AlgebraWithOps) -> Optional[CounterModel]:
-        cex = algebra_validity(alg, formula, var_cap=bounds.max_vars)
-        if cex is None:
-            return None
-        return CounterModel(
-            algebra=alg,
-            valuation=valuation_names(alg, cex),
-            value=alg.names[evaluate(alg, cex, formula)],
-        )
+    def judge(base, f, g, i, k, bits):
+        def hunt(lo: int, hi: int, grid) -> Optional[tuple[int, CounterModel]]:
+            hit = _first_failure(base, f, g, i[lo:hi], k[lo:hi], program, grid)
+            if hit is None:
+                return None
+            j, column, value = hit
+            j += lo
+            alg = _combo(base, f, g, int(i[j]), int(k[j]), int(bits[j]))
+            valuation = {v: base.names[grid[row, column]] for row, v in enumerate(names)}
+            return j, CounterModel(alg, valuation, base.names[value])
+
+        # more valuations than one block holds leave one combo per block
+        per = max(1, VALUATION_BLOCK // base.n ** len(names))
+        for lo in range(0, len(i), per):
+            for grid in valuation_blocks(base.n, len(names)):
+                yield partial(hunt, lo, lo + per, grid)
 
     return _scan_combos(bounds, laws_required, judge)
 
@@ -240,7 +277,8 @@ def test_law_equivalence(
     "forward" looks for laws_a all holding while some law in laws_b
     fails, "backward" swaps the roles, "either" tries forward then
     backward on each structure.  An exhausted verdict means the sets
-    are equivalent over every structure within bounds.
+    are equivalent over every structure within bounds.  Each chunk of
+    the stream is tested as one array of verdict bits.
     """
     if direction not in ("forward", "backward", "either"):
         raise ValueError("direction must be forward, backward, or either")
@@ -248,17 +286,26 @@ def test_law_equivalence(
     laws_b = _checked_laws(laws_b, "laws_b")
     ambient = _checked_laws(ambient, "ambient")
     bounds = bounds or DEFAULT_BOUNDS
+    need_a, need_b = law_bits(laws_a), law_bits(laws_b)
 
-    def judge(alg: AlgebraWithOps) -> Optional[Separation]:
-        a_green = all(alg.laws.holds(law) for law in laws_a)
-        b_green = all(alg.laws.holds(law) for law in laws_b)
-        if direction != "backward" and a_green and not b_green:
-            violated = next(law for law in laws_b if not alg.laws.holds(law))
-            return Separation(alg, laws_a, violated, "forward")
-        if direction != "forward" and b_green and not a_green:
-            violated = next(law for law in laws_a if not alg.laws.holds(law))
-            return Separation(alg, laws_b, violated, "backward")
-        return None
+    def judge(base, f, g, i, k, bits):
+        a_green, b_green = (bits & need_a) == need_a, (bits & need_b) == need_b
+        forward = a_green & ~b_green & (direction != "backward")
+        backward = b_green & ~a_green & (direction != "forward")
+
+        def separate() -> Optional[tuple[int, Separation]]:
+            hits = np.flatnonzero(forward | backward)
+            if not len(hits):
+                return None
+            j = int(hits[0])
+            alg = _combo(base, f, g, int(i[j]), int(k[j]), int(bits[j]))
+            held, broken, way = (
+                (laws_a, laws_b, "forward") if forward[j] else (laws_b, laws_a, "backward")
+            )
+            violated = next(law for law in broken if not alg.laws.holds(law))
+            return j, Separation(alg, held, violated, way)
+
+        yield separate
 
     return _scan_combos(bounds, ambient, judge)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tenselab import algebra
 from tenselab.algebra import enumerate_op_combos
 from tenselab.frames import enumerate_frames
 
@@ -34,6 +35,29 @@ def h2gc_fs_upto4(h2gc_fs_upto5):
 @pytest.fixture(scope="session")
 def ik_frames_upto3():
     return tuple(enumerate_frames(3))
+
+
+@pytest.fixture
+def fresh_verdicts(monkeypatch):
+    """An empty store of kept verdict arrays for one test, so every chunk
+    the test reads is graded in it; the process's store comes back after."""
+    monkeypatch.setattr(algebra, "_VERDICTS", {})
+
+
+@pytest.fixture
+def grades(monkeypatch, fresh_verdicts):
+    """The base of every call to the law grader, in call order: one per
+    chunk of the stream, one per structure graded alone.  The kept
+    verdicts start empty, so every chunk read is graded here."""
+    calls = []
+    grade = algebra._grade
+
+    def counted(base, *args):
+        calls.append(base)
+        return grade(base, *args)
+
+    monkeypatch.setattr(algebra, "_grade", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

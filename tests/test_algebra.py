@@ -338,21 +338,6 @@ class TestGaloisPairs:
             adjoint_of(chain(2), (0, 1), "sideways")
 
 
-@pytest.fixture
-def grades(monkeypatch):
-    """The base of every call to the law grader, in call order: one per
-    chunk of the stream, one per structure graded alone."""
-    calls = []
-    grade = algebra._grade
-
-    def counted(base, *args):
-        calls.append(base)
-        return grade(base, *args)
-
-    monkeypatch.setattr(algebra, "_grade", counted)
-    return calls
-
-
 class TestAttachOps:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -424,13 +409,18 @@ class TestGrader:
         stream = [list(alg.laws.verdicts.items()) for alg in enumerate_op_combos(6, 4)]
         assert stream == _eager_verdicts(6, 4)
 
-    def test_chunks_read_in_any_order(self, op_combos_upto5):
-        # each chunk carries its own pair indices, so reading the chunks
-        # backwards, each once, gives the stream's combos backwards
+    def test_chunks_read_in_any_order(self, fresh_verdicts, op_combos_upto5):
+        # reading a base's last chunk first grades the rows before it as
+        # well, so reading the chunks backwards gives the stream's combos
+        # backwards
         read = []
-        for base, lowers, uppers, combos in reversed(list(algebra._graded_chunks(5, None))):
-            for bits, (i, k) in reversed(list(combos)):
-                read.append((base, bits, lowers[i], uppers[k], lowers[k], uppers[i]))
+        for base in reversed(list(enumerate_heyting(5))):
+            kept, p = algebra._verdicts(base, None)
+            for start in reversed(range(0, p, kept.step)):
+                bits = kept.chunk(start, p)
+                for (i, k), b in reversed(list(np.ndenumerate(bits))):
+                    f, g = kept.f, kept.g
+                    read.append((base, b, f[start + i], g[k], f[k], g[start + i]))
         for (base, bits, *tables), was in zip(read[::-1], op_combos_upto5, strict=True):
             assert base is was.base and bits == was.laws.bits
             for table, got in zip(("dia", "box", "bdia", "bbox"), tables):
@@ -843,12 +833,9 @@ class TestEnumeration:
         assert len(got) < 697
 
     def test_pair_stacks_built_once(self):
-        stacks = algebra._gc_stacks(4)
-        assert algebra._gc_stacks(4) is stacks
         for base in enumerate_heyting(4):
-            if base.n < 4:
-                continue
-            lowers, uppers = stacks[base.name]
+            lowers, uppers = algebra._gc_stack(base)
+            assert algebra._gc_stack(base)[0] is lowers
             want = enumerate_gc_pairs(base)
             assert list(zip(map(tuple, lowers.tolist()), map(tuple, uppers.tolist()))) == want
             for stack in (lowers, uppers):

@@ -784,6 +784,73 @@ class TestMalformedInputFuzz:
         self._main(argv, as_json)
 
 
+# --bounds entries near valid ones: every key, with small sizes and
+# deadlines, and values and shapes that must be refused
+_BOUNDS_ENTRY = st.one_of(
+    st.tuples(
+        st.sampled_from(["size", "vars", "pairs", "seconds", "frames", "Size", " pairs", ""]),
+        st.sampled_from(["1", "2", "3", "4", "0", "-1", "0.02", "1.5", "nan", "inf", "x", ""]),
+    ).map("=".join),
+    st.sampled_from(["size", "=", "", "size==2", "pairs=1=2", "seconds=1e-9"]),
+)
+# --set entries near var=element on chain3, whose elements are 0, m and 1
+_SET_ENTRY = st.tuples(
+    st.sampled_from(["p", "q", "r", "", " p", "P"]),
+    st.sampled_from(["=", "", "==", " = "]),
+    st.sampled_from(["0", "m", "1", "zz", "", "p", "1=1"]),
+).map("".join)
+
+
+class TestOptionFuzz:
+    """Drawn --bounds and --set strings exit 0, 1, 2 or 3, never with a
+    traceback.  Every search carries a deadline of at most 0.05 s."""
+
+    @staticmethod
+    def _main(argv):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (cli.OK, cli.FOUND, cli.USAGE, cli.TIMEOUT), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == cli.USAGE:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+        return code
+
+    @staticmethod
+    def _bounds(entries, seconds):
+        # the deadline goes at a drawn place; a drawn seconds= makes it a repeat
+        entries = list(entries)
+        entries.insert(seconds[0] % (len(entries) + 1), f"seconds={seconds[1]}")
+        return "--bounds=" + ",".join(entries)
+
+    _SECONDS = st.tuples(st.integers(0, 3), st.sampled_from(["0.01", "0.05"]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(_BOUNDS_ENTRY, max_size=3),
+        seconds=_SECONDS,
+        formula=st.sampled_from(["p -> H F p", "G (p | q) -> G p | F q", "p1 & p2 & p3 & p4"]),
+    )
+    def test_search_bounds(self, entries, seconds, formula):
+        self._main(["search", "--formula", formula, self._bounds(entries, seconds)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entries=st.lists(_BOUNDS_ENTRY, max_size=3),
+        seconds=_SECONDS,
+        direction=st.sampled_from(["forward", "backward", "either"]),
+    )
+    def test_equiv_bounds(self, entries, seconds, direction):
+        argv = ["equiv", "--laws-a", "fs1", "--laws-b", "dunn2_dia", "--direction", direction]
+        self._main([*argv, self._bounds(entries, seconds)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sets=st.lists(_SET_ENTRY, max_size=3), as_json=st.booleans())
+    def test_eval_sets(self, sets, as_json):
+        argv = ["eval", *(["--json"] if as_json else []), "--algebra", "chain3"]
+        self._main([*argv, "--formula", "p -> q", *(f"--set={entry}" for entry in sets)])
+
+
 def test_installed_console_script():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

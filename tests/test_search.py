@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenselab import algebra, search
 from tenselab.algebra import (
@@ -10,6 +16,7 @@ from tenselab.algebra import (
     ModalOperatorPresent,
     evaluate,
 )
+from tenselab.lattice import enumerate_heyting
 from tenselab.search import (
     ConservativityGap,
     CounterModel,
@@ -18,6 +25,13 @@ from tenselab.search import (
     conservativity_check,
     find_algebra_countermodel,
 )
+
+from tenselab.syntax import parse_formula
+
+import util
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import fingerprint  # noqa: E402
 
 SMALL = SearchBounds(max_algebra_size=3)
 
@@ -112,11 +126,24 @@ class TestCountermodelHunt:
         verdict = find_algebra_countermodel("p -> H F p", bounds)
         assert verdict.status == "timeout" and verdict.witness is None
 
-    def test_clock_read_before_each_chunk(self, monkeypatch):
-        # one combo per base, so one chunk per base; the first judge call
-        # uses up the deadline, and no law of the next base is graded
-        now = [0.0]
+    @staticmethod
+    def _slow_blocks(monkeypatch, now):
+        # the clock reads now[0], and each evaluated block adds 10 to it
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        first_failure = search._first_failure
+
+        def slow(*args, **kwargs):
+            now[0] += 10
+            return first_failure(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_first_failure", slow)
+
+    def test_clock_read_before_each_chunk(self, monkeypatch, fresh_verdicts):
+        # one combo per base, so one chunk and one block per base; the
+        # first block uses up the deadline, and no law of the next base
+        # is graded
+        now = [0.0]
+        self._slow_blocks(monkeypatch, now)
         graded = []
 
         def noted(sides):
@@ -130,36 +157,23 @@ class TestCountermodelHunt:
         for law, (mode, d, b, sides) in algebra._LAWS.items():
             wrapped.setdefault(sides, noted(sides))
             monkeypatch.setitem(algebra._LAWS, law, (mode, d, b, wrapped[sides]))
-        validity = search.algebra_validity
-
-        def slow(*args, **kwargs):
-            now[0] += 10
-            return validity(*args, **kwargs)
-
-        monkeypatch.setattr(search, "algebra_validity", slow)
         bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=5)
         verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
         assert verdict.status == "timeout"
         assert (verdict.scanned["combos"], verdict.scanned["eligible"]) == (1, 1)
         assert set(graded) == {"ha1_0"}
 
-    def test_deadline_passed_on_the_last_combo_exhausts(self, monkeypatch):
-        # one combo per base and three bases; the last judge call uses up
-        # the deadline, but every combo was scanned, so the verdict is
+    def test_deadline_passed_on_the_last_combo_exhausts(self, monkeypatch, fresh_verdicts):
+        # one combo per base and three bases; the last block uses up the
+        # deadline, but every combo was scanned, so the verdict is
         # exhausted and not timeout
         now = [0.0]
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        validity = search.algebra_validity
-
-        def slow(*args, **kwargs):
-            now[0] += 10
-            return validity(*args, **kwargs)
-
-        monkeypatch.setattr(search, "algebra_validity", slow)
+        self._slow_blocks(monkeypatch, now)
         bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=25)
         verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
         assert verdict.status == "exhausted"
         assert (verdict.scanned["combos"], verdict.scanned["eligible"]) == (3, 3)
+        assert now[0] == 30  # one block per base
 
     def test_pair_cap_shrinks_scan(self):
         capped = SearchBounds(max_algebra_size=3, max_gc_pairs=1)
@@ -209,6 +223,135 @@ class TestLawEquivalence:
         bounds = SearchBounds(deadline_seconds=1e-9)
         verdict = search.test_law_equivalence(("fs1",), ("d1",), bounds)
         assert verdict.status == "timeout"
+
+
+# sizes up to 5 uncapped, and size 6 capped at 4 Galois pairs
+ORACLE_BOUNDS = (
+    *(SearchBounds(max_algebra_size=n) for n in range(1, 6)),
+    SearchBounds(max_algebra_size=6, max_gc_pairs=4),
+)
+LAW_SETS = (H2GC_FS_LAWS, algebra.H2GC_LAWS, ())
+
+
+class TestAgainstOneComboScan:
+    """The chunked scan gives what the one-combo-at-a-time loop in
+    util.scan_combos gives: status, counts and the witness."""
+
+    @pytest.mark.parametrize("formula", fingerprint.FORMULAS)
+    def test_fingerprint_formulas(self, formula):
+        for bounds in ORACLE_BOUNDS:
+            for laws in LAW_SETS:
+                got = find_algebra_countermodel(formula, bounds, laws)
+                want = util.find_countermodel(parse_formula(formula), bounds, laws)
+                assert util.verdict_record(got) == util.verdict_record(want), (bounds, laws)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.sampled_from(ORACLE_BOUNDS[:4]),
+        laws=st.sampled_from(LAW_SETS),
+    )
+    def test_drawn_formulas(self, seed, bounds, laws):
+        formula = util.random_formula(random.Random(seed), depth=3, vars=("p", "q"))
+        got = find_algebra_countermodel(formula, bounds, laws)
+        want = util.find_countermodel(formula, bounds, laws)
+        assert util.verdict_record(got) == util.verdict_record(want)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward", "either"])
+    @pytest.mark.parametrize("laws_a, laws_b", [(a, b) for a, b, _ in fingerprint.EQUIV])
+    def test_equiv_pairs(self, laws_a, laws_b, direction):
+        for bounds in ORACLE_BOUNDS:
+            got = search.test_law_equivalence(laws_a, laws_b, bounds, direction)
+            want = util.law_equivalence(laws_a, laws_b, bounds, direction)
+            assert util.verdict_record(got) == util.verdict_record(want), bounds
+
+    @pytest.mark.parametrize("cells", [1, 7, 60])
+    def test_small_blocks(self, monkeypatch, cells):
+        # with fewer cells than valuations a block is one combo and part
+        # of its valuations; with more, a few combos and all of them
+        monkeypatch.setattr(algebra, "VALUATION_BLOCK", cells)
+        monkeypatch.setattr(search, "VALUATION_BLOCK", cells)
+        bounds = SearchBounds(max_algebra_size=4)
+        formulas = ("p -> H F p", "G (p | q) -> G p | F q", "H F p -> p", "F p & G q -> F (p & q)")
+        for formula in formulas:
+            for laws in LAW_SETS:
+                got = find_algebra_countermodel(formula, bounds, laws)
+                want = util.find_countermodel(parse_formula(formula), bounds, laws)
+                assert util.verdict_record(got) == util.verdict_record(want), (formula, laws)
+
+    def test_capped_search_unchanged_by_an_uncapped_one(self, monkeypatch):
+        # a cap within the kept width reads its top-left block, grading
+        # the rows a stopped scan left; a wider cap grades a new array.
+        # "H F p -> p" is found early, so it leaves arrays partly graded
+        capped = SearchBounds(max_algebra_size=5, max_gc_pairs=3)
+        uncapped = SearchBounds(max_algebra_size=5)
+        formulas = ("H F p -> p", "G (p | q) -> G p | F q", "p -> H F p")
+        want = {
+            (formula, bounds): util.verdict_record(
+                util.find_countermodel(parse_formula(formula), bounds, H2GC_FS_LAWS)
+            )
+            for formula in formulas
+            for bounds in (capped, uncapped)
+        }
+        for order in ((capped, uncapped, capped), (uncapped, capped, uncapped)):
+            monkeypatch.setattr(algebra, "_VERDICTS", {})
+            for formula in formulas:
+                for bounds in order:
+                    got = util.verdict_record(find_algebra_countermodel(formula, bounds))
+                    assert got == want[formula, bounds], (formula, bounds)
+
+
+class TestKeptVerdicts:
+    def test_only_the_reported_combo_is_built(self, monkeypatch):
+        built = []
+        init = algebra.AlgebraWithOps.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0].name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(algebra.AlgebraWithOps, "__init__", counted)
+        found = find_algebra_countermodel("H F p -> p", SearchBounds(max_algebra_size=5))
+        assert found.found and built == [found.witness.algebra.base.name]
+        built.clear()
+        exhausted = find_algebra_countermodel("p -> H F p", SearchBounds(max_algebra_size=5))
+        assert exhausted.status == "exhausted"
+        assert search.test_law_equivalence(("fs1",), ("d1",), SMALL).status == "exhausted"
+        assert built == []
+
+    def test_grading_waits_for_a_scan(self):
+        # importing and listing the bases grade nothing and build no pair
+        # stack; the first scan to reach a base does both
+        code = (
+            "from tenselab import algebra, search\n"
+            "from tenselab.lattice import enumerate_heyting\n"
+            "list(enumerate_heyting(6))\n"
+            "assert algebra._VERDICTS == {} and algebra._PAIR_STACKS == {}\n"
+            "search.find_algebra_countermodel('p', search.SearchBounds(max_algebra_size=2))\n"
+            "print(sorted(algebra._VERDICTS), sorted(algebra._PAIR_STACKS))\n"
+        )
+        src = Path(algebra.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "['ha1_0', 'ha2_1'] ['ha1_0', 'ha2_1']\n"
+
+    def test_caps_share_one_array(self, grades):
+        def graded_after(*args):
+            start = len(grades)
+            list(algebra.enumerate_op_combos(*args))
+            return len(grades) - start
+
+        assert graded_after(4, 2) == 5  # one chunk per base
+        assert graded_after(4, 1) == 0  # the top-left block
+        assert graded_after(4, 2) == 0
+        assert graded_after(4) == 3  # wider: the three bases with over 2 pairs
+        assert graded_after(4, 2) == graded_after(4) == 0
+        kept, p = algebra._verdicts(list(enumerate_heyting(4))[-1], None)
+        with pytest.raises(ValueError, match="read-only"):
+            kept.chunk(0, p)[0, 0] = 0
 
 
 class TestConservativity:

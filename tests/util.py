@@ -1,5 +1,6 @@
-"""Small helpers shared between test modules, and the scalar relabeling
-and frame-listing loops kept as oracles for the array engine."""
+"""Small helpers shared between test modules, the scalar relabeling and
+frame-listing loops kept as oracles for the array engine, and the
+one-combo-at-a-time search loop kept as an oracle for the chunked scan."""
 
 import itertools
 import random
@@ -7,8 +8,10 @@ import tracemalloc
 
 import numpy as np
 
+from tenselab.algebra import H2GC_LAWS, algebra_validity, enumerate_op_combos, evaluate
 from tenselab.frames import Frame, check_ik_frame, compose
 from tenselab.lattice import mask_rows
+from tenselab.search import CounterModel, Separation, Verdict
 
 from tenselab.syntax import (
     And,
@@ -128,3 +131,71 @@ def loop_frames(n_max: int):
                 seen.add(code)
                 counter += 1
                 yield frame
+
+
+# ------------------------------------------------------ search oracles
+
+
+def scan_combos(bounds, ambient, judge):
+    """search._scan_combos as a loop over the combo stream, one combo at
+    a time, with no clock: judge sees each combo whose ambient laws hold
+    and returns a witness to stop, or None to go on."""
+    combos = eligible = 0
+    for alg in enumerate_op_combos(bounds.max_algebra_size, bounds.max_gc_pairs):
+        combos += 1
+        if not all(alg.laws.holds(law) for law in ambient):
+            continue
+        eligible += 1
+        witness = judge(alg)
+        if witness is not None:
+            return Verdict("found", witness, {"combos": combos, "eligible": eligible})
+    return Verdict("exhausted", None, {"combos": combos, "eligible": eligible})
+
+
+def find_countermodel(formula, bounds, laws_required):
+    """search.find_algebra_countermodel with algebra_validity on each
+    eligible combo."""
+
+    def judge(alg):
+        cex = algebra_validity(alg, formula, var_cap=bounds.max_vars)
+        if cex is None:
+            return None
+        valuation = {v: alg.names[x] for v, x in cex.items()}
+        return CounterModel(alg, valuation, alg.names[evaluate(alg, cex, formula)])
+
+    return scan_combos(bounds, tuple(laws_required), judge)
+
+
+def law_equivalence(laws_a, laws_b, bounds, direction="either", ambient=H2GC_LAWS):
+    """search.test_law_equivalence reading each eligible combo's report."""
+    laws_a, laws_b = tuple(laws_a), tuple(laws_b)
+
+    def judge(alg):
+        a_green = all(alg.laws.holds(law) for law in laws_a)
+        b_green = all(alg.laws.holds(law) for law in laws_b)
+        if direction != "backward" and a_green and not b_green:
+            violated = next(law for law in laws_b if not alg.laws.holds(law))
+            return Separation(alg, laws_a, violated, "forward")
+        if direction != "forward" and b_green and not a_green:
+            violated = next(law for law in laws_a if not alg.laws.holds(law))
+            return Separation(alg, laws_b, violated, "backward")
+        return None
+
+    return scan_combos(bounds, ambient, judge)
+
+
+def verdict_record(verdict):
+    """What two scans must agree on: status, counts and the witness, with
+    the witness's algebra as its base, four tables and verdict bits."""
+    w = verdict.witness
+    if w is not None:
+        alg = w.algebra
+        tables = tuple(tuple(t.tolist()) for t in (alg.dia, alg.box, alg.bdia, alg.bbox))
+        fields = (
+            (dict(w.valuation), w.value)
+            if isinstance(w, CounterModel)
+            else (w.satisfied, w.violated, w.direction)
+        )
+        w = (type(w).__name__, alg.base.name, tables, alg.laws.bits, *fields)
+    counts = (verdict.scanned["combos"], verdict.scanned["eligible"])
+    return verdict.status, counts, w
