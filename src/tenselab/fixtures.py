@@ -21,21 +21,32 @@ and_both, or_both, iff_both), then derive, in order:
     connecting-axiom system, and the bi-modal axiom set for both
     operator pairs.
 
+Swapping F with P and G with H turns every axiom, rule and system into
+its mirror image (proofs.MIRROR_NAMES), so it turns a proof into a proof
+of the mirrored theorem.  The P/H half of the corpus is therefore
+written once: an entry mirror(name, partner) is the mirror image of the
+earlier script partner.  Its theorem, premises and substitutions are
+partner's mirrored, and each axiom, rule, system and lemma it cites is
+renamed to its mirror.  The lemma pairs are the mirror entries
+themselves, so h_k, the mirror of g_k, cites rm_f and br2 where g_k
+cites rm_p and br4.  37 of the 90 scripts are built this way.
+
 fixture_suite() checks everything in dependency order and returns the
 checked proofs; fixture_env() returns the populated registry.
 
-The necessitation scripts rn_g and rn_h reconstruct a derivation that
-is usually left implicit: from A, weaken to F top -> A (or P top -> A),
-switch sides with a Galois rule, and detach with top.  They are the
-only scripts here not following a source laid out step by step.
+The necessitation script rn_h (and its mirror rn_g) reconstructs a
+derivation that is usually left implicit: from A, weaken to F top -> A,
+switch sides with a Galois rule, and detach with top.  It is the only
+script here not following a source laid out step by step.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .syntax import parse_schema
+from .syntax import mirror as mirror_formula, parse_schema
 from .proofs import (
+    MIRROR_NAMES,
     AxiomStep,
     CheckedProof,
     LemmaStep,
@@ -72,7 +83,52 @@ def script(name, system, theorem, steps, premises=()):
     )
 
 
-FIXTURES: tuple[ProofScript, ...] = (
+def mirror(name: str, partner: str) -> tuple[str, str]:
+    """Entry for the script name, the mirror image of the earlier partner."""
+    return name, partner
+
+
+def _mirror_script(s: ProofScript, name: str, names: dict[str, str]) -> ProofScript:
+    """The mirror image of s, named name; names pairs the ids it cites."""
+
+    def swap(id_: str) -> str:
+        return names.get(id_, id_)
+
+    def subst(step) -> dict:
+        return {k: mirror_formula(v) for k, v in step.subst.items()}
+
+    steps = []
+    for step in s.steps:
+        if isinstance(step, AxiomStep):
+            step = AxiomStep(swap(step.axiom), subst(step))
+        elif isinstance(step, RuleStep):
+            step = RuleStep(swap(step.rule), step.premises, subst(step))
+        elif isinstance(step, LemmaStep):
+            step = LemmaStep(swap(step.lemma), subst(step))
+        steps.append(step)
+    return ProofScript(
+        name=name,
+        system=swap(s.system),
+        theorem=mirror_formula(s.theorem),
+        steps=tuple(steps),
+        premises=tuple(map(mirror_formula, s.premises)),
+    )
+
+
+def _expand(entries) -> tuple[ProofScript, ...]:
+    """The scripts of entries, each mirror entry built from its partner."""
+    names = dict(MIRROR_NAMES)
+    scripts: dict[str, ProofScript] = {}
+    for entry in entries:
+        if isinstance(entry, tuple):
+            name, partner = entry
+            names[name], names[partner] = partner, name
+            entry = _mirror_script(scripts[partner], name, names)
+        scripts[entry.name] = entry
+    return tuple(scripts.values())
+
+
+FIXTURES: tuple[ProofScript, ...] = _expand((
     # ---------------------------------------------- implication toolkit
     script(
         "id",
@@ -273,24 +329,8 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("GC-HF", 1),
         ],
     ),
-    script(
-        "br3",
-        "Int2GC",
-        "A -> G P A",
-        [
-            lm("id", A="P A"),
-            rl("GC-PG", 1),
-        ],
-    ),
-    script(
-        "br4",
-        "Int2GC",
-        "P G A -> A",
-        [
-            lm("id", A="G A"),
-            rl("GC-GP", 1),
-        ],
-    ),
+    mirror("br3", "br1"),
+    mirror("br4", "br2"),
     script(
         "rm_f",
         "Int2GC",
@@ -315,30 +355,8 @@ FIXTURES: tuple[ProofScript, ...] = (
         ],
         premises=["A -> B"],
     ),
-    script(
-        "rm_p",
-        "Int2GC",
-        "P A -> P B",
-        [
-            pr(1),
-            lm("br3", A="B"),
-            rl("hs", 1, 2),
-            rl("GC-GP", 3),
-        ],
-        premises=["A -> B"],
-    ),
-    script(
-        "rm_g",
-        "Int2GC",
-        "G A -> G B",
-        [
-            lm("br4", A="A"),
-            pr(1),
-            rl("hs", 1, 2),
-            rl("GC-PG", 3),
-        ],
-        premises=["A -> B"],
-    ),
+    mirror("rm_p", "rm_f"),
+    mirror("rm_g", "rm_h"),
     script(
         "rn_h",
         "Int2GC",
@@ -352,19 +370,7 @@ FIXTURES: tuple[ProofScript, ...] = (
         ],
         premises=["A"],
     ),
-    script(
-        "rn_g",
-        "Int2GC",
-        "G A",
-        [
-            pr(1),
-            rl("weaken", 1, B="P top"),
-            rl("GC-PG", 2),
-            ax("TOP"),
-            rl("MP", 3, 4),
-        ],
-        premises=["A"],
-    ),
+    mirror("rn_g", "rn_h"),
     script(
         "f_bot",
         "Int2GC",
@@ -374,15 +380,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("GC-HF", 1),
         ],
     ),
-    script(
-        "p_bot",
-        "Int2GC",
-        "P bot -> bot",
-        [
-            ax("EFQ", A="G bot"),
-            rl("GC-GP", 1),
-        ],
-    ),
+    mirror("p_bot", "f_bot"),
     script(
         "not_f_bot",
         "Int2GC",
@@ -393,16 +391,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("MP", 2, 1),
         ],
     ),
-    script(
-        "not_p_bot",
-        "Int2GC",
-        "~ P bot",
-        [
-            lm("p_bot"),
-            ax("NEG-I", A="P bot"),
-            rl("MP", 2, 1),
-        ],
-    ),
+    mirror("not_p_bot", "not_f_bot"),
     script(
         "g_k",
         "Int2GC",
@@ -421,24 +410,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("curry", 10),
         ],
     ),
-    script(
-        "h_k",
-        "Int2GC",
-        "H (A -> B) -> (H A -> H B)",
-        [
-            ax("AND-E1", A="H (A -> B)", B="H A"),
-            rl("rm_f", 1),
-            lm("br2", A="A -> B"),
-            rl("hs", 2, 3),
-            ax("AND-E2", A="H (A -> B)", B="H A"),
-            rl("rm_f", 5),
-            lm("br2", A="A"),
-            rl("hs", 6, 7),
-            rl("s2", 4, 8),
-            rl("GC-FH", 9),
-            rl("curry", 10),
-        ],
-    ),
+    mirror("h_k", "g_k"),
     script(
         "g_dist_and",
         "Int2GC",
@@ -462,29 +434,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("iff_both", 5, 15),
         ],
     ),
-    script(
-        "h_dist_and",
-        "Int2GC",
-        "H (A & B) <-> (H A & H B)",
-        [
-            ax("AND-E1", A="A", B="B"),
-            rl("rm_h", 1),
-            ax("AND-E2", A="A", B="B"),
-            rl("rm_h", 3),
-            rl("and_both", 2, 4),
-            ax("AND-E1", A="H A", B="H B"),
-            rl("rm_f", 6),
-            lm("br2", A="A"),
-            rl("hs", 7, 8),
-            ax("AND-E2", A="H A", B="H B"),
-            rl("rm_f", 10),
-            lm("br2", A="B"),
-            rl("hs", 11, 12),
-            rl("and_both", 9, 13),
-            rl("GC-FH", 14),
-            rl("iff_both", 5, 15),
-        ],
-    ),
+    mirror("h_dist_and", "g_dist_and"),
     script(
         "f_dist_or",
         "Int2GC",
@@ -508,29 +458,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("iff_both", 10, 15),
         ],
     ),
-    script(
-        "p_dist_or",
-        "Int2GC",
-        "P (A | B) <-> (P A | P B)",
-        [
-            lm("br3", A="A"),
-            ax("OR-I1", A="P A", B="P B"),
-            rl("rm_g", 2),
-            rl("hs", 1, 3),
-            lm("br3", A="B"),
-            ax("OR-I2", A="P A", B="P B"),
-            rl("rm_g", 6),
-            rl("hs", 5, 7),
-            rl("or_both", 4, 8),
-            rl("GC-GP", 9),
-            ax("OR-I1", A="A", B="B"),
-            rl("rm_p", 11),
-            ax("OR-I2", A="A", B="B"),
-            rl("rm_p", 13),
-            rl("or_both", 12, 14),
-            rl("iff_both", 10, 15),
-        ],
-    ),
+    mirror("p_dist_or", "f_dist_or"),
     # ------------------------------------------- connecting-axiom layer
     script(
         "gf_dunn",
@@ -546,20 +474,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("uncurry", 6),
         ],
     ),
-    script(
-        "hp_dunn",
-        "Int2GC+FS",
-        "(H A & P B) -> P (A & B)",
-        [
-            ax("AND-I", A="A", B="B"),
-            rl("perm", 1),
-            rl("rm_p", 2),
-            ax("FS2", A="A", B="A & B"),
-            rl("hs", 3, 4),
-            rl("perm", 5),
-            rl("uncurry", 6),
-        ],
-    ),
+    mirror("hp_dunn", "gf_dunn"),
     script(
         "g_imp_f",
         "Int2GC+FS",
@@ -579,25 +494,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("curry", 11),
         ],
     ),
-    script(
-        "h_imp_p",
-        "Int2GC+FS",
-        "H (A -> B) -> (P A -> P B)",
-        [
-            lm("br2", A="A -> B"),
-            rl("uncurry", 1),
-            rl("rm_p", 2),
-            lm("hp_dunn", A="F H (A -> B)", B="A"),
-            rl("hs", 4, 3),
-            ax("AND-E1", A="H (A -> B)", B="P A"),
-            lm("br1", A="H (A -> B)"),
-            rl("hs", 6, 7),
-            ax("AND-E2", A="H (A -> B)", B="P A"),
-            rl("and_both", 8, 9),
-            rl("hs", 10, 5),
-            rl("curry", 11),
-        ],
-    ),
+    mirror("h_imp_p", "g_imp_f"),
     script(
         "g_not_f",
         "Int2GC+FS",
@@ -613,21 +510,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("hs", 6, 7),
         ],
     ),
-    script(
-        "h_not_p",
-        "Int2GC+FS",
-        "H ~A -> ~P A",
-        [
-            lm("h_imp_p", A="A", B="bot"),
-            lm("p_bot"),
-            rl("hs2", 1, 2),
-            ax("NEG-E", A="A"),
-            rl("rm_h", 4),
-            rl("hs", 5, 3),
-            ax("NEG-I", A="P A"),
-            rl("hs", 6, 7),
-        ],
-    ),
+    mirror("h_not_p", "g_not_f"),
     script(
         "fs3_derived",
         "Int2GC+FS",
@@ -643,21 +526,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("GC-PG", 7),
         ],
     ),
-    script(
-        "fs4_derived",
-        "Int2GC+FS",
-        "(P A -> H B) -> H (A -> B)",
-        [
-            lm("syl1", A="A", B="G P A", C="F H B"),
-            lm("br3", A="A"),
-            rl("MP", 1, 2),
-            ax("FS1", A="P A", B="H B"),
-            rl("hs", 4, 3),
-            lm("br2", A="B"),
-            rl("hs2", 5, 6),
-            rl("GC-FH", 7),
-        ],
-    ),
+    mirror("fs4_derived", "fs3_derived"),
     # -------------------------------- interderivability of the axioms
     script(
         "fs1_to_fs4",
@@ -694,41 +563,8 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("hs", 6, 8),
         ],
     ),
-    script(
-        "fs2_to_fs3",
-        "Int2GC+FS2",
-        "(F A -> G B) -> G (A -> B)",
-        [
-            lm("syl1", A="A", B="H F A", C="P G B"),
-            lm("br1", A="A"),
-            rl("MP", 1, 2),
-            rl("perm", 3),
-            rl("uncurry", 4),
-            lm("br4", A="B"),
-            rl("hs", 5, 6),
-            rl("curry", 7),
-            rl("perm", 8),
-            ax("FS2", A="F A", B="G B"),
-            rl("hs", 10, 9),
-            rl("GC-PG", 11),
-        ],
-    ),
-    script(
-        "fs3_to_fs2",
-        "Int2GC+FS3",
-        "P (A -> B) -> (H A -> P B)",
-        [
-            lm("syl1", A="F H A", B="A", C="B"),
-            lm("br2", A="A"),
-            rl("MP", 1, 2),
-            lm("br3", A="B"),
-            rl("hs2", 3, 4),
-            rl("rm_p", 5),
-            ax("FS3", A="H A", B="P B"),
-            rl("GC-GP", 7),
-            rl("hs", 6, 8),
-        ],
-    ),
+    mirror("fs2_to_fs3", "fs1_to_fs4"),
+    mirror("fs3_to_fs2", "fs4_to_fs1"),
     # -------------------------- Galois rules inside the tensor system
     script(
         "br_gc_hf",
@@ -754,30 +590,8 @@ FIXTURES: tuple[ProofScript, ...] = (
         ],
         premises=["F A -> B"],
     ),
-    script(
-        "br_gc_gp",
-        "IKxIK+BR",
-        "P A -> B",
-        [
-            pr(1),
-            rl("RM-P", 1),
-            ax("BR4", A="B"),
-            rl("hs", 2, 3),
-        ],
-        premises=["A -> G B"],
-    ),
-    script(
-        "br_gc_pg",
-        "IKxIK+BR",
-        "A -> G B",
-        [
-            pr(1),
-            rl("RM-G", 1),
-            ax("BR3", A="A"),
-            rl("hs", 3, 2),
-        ],
-        premises=["P A -> B"],
-    ),
+    mirror("br_gc_gp", "br_gc_hf"),
+    mirror("br_gc_pg", "br_gc_fh"),
     # ------------------------------ bi-modal axioms for both pairs
     script(
         "ik1_f",
@@ -823,50 +637,11 @@ FIXTURES: tuple[ProofScript, ...] = (
             lm("fs3_derived", A="A", B="B"),
         ],
     ),
-    script(
-        "ik1_p",
-        "Int2GC",
-        "P (A | B) -> (P A | P B)",
-        [
-            lm("p_dist_or", A="A", B="B"),
-            ax("IFF-E1", A="P (A | B)", B="P A | P B"),
-            rl("MP", 2, 1),
-        ],
-    ),
-    script(
-        "ik2_h",
-        "Int2GC",
-        "(H A & H B) -> H (A & B)",
-        [
-            lm("h_dist_and", A="A", B="B"),
-            ax("IFF-E2", A="H (A & B)", B="H A & H B"),
-            rl("MP", 2, 1),
-        ],
-    ),
-    script(
-        "ik3_p",
-        "Int2GC",
-        "~ P bot",
-        [
-            lm("not_p_bot"),
-        ],
-    ),
-    script(
-        "ik4_ph",
-        "Int2GC+FS",
-        "P (A -> B) -> (H A -> P B)",
-        [
-            ax("FS2", A="A", B="B"),
-        ],
-    ),
-    script(
-        "ik5_ph",
-        "Int2GC+FS",
-        "(P A -> H B) -> H (A -> B)",
-        [
-            lm("fs4_derived", A="A", B="B"),
-        ],
-    ),
+    mirror("ik1_p", "ik1_f"),
+    mirror("ik2_h", "ik2_g"),
+    mirror("ik3_p", "ik3_f"),
+    mirror("ik4_ph", "ik4_fg"),
+    mirror("ik5_ph", "ik5_fg"),
     # ------------------------ derived rules of the tense axiomatisation
     script(
         "ikt_rm_g",
@@ -892,30 +667,8 @@ FIXTURES: tuple[ProofScript, ...] = (
         ],
         premises=["A -> B"],
     ),
-    script(
-        "ikt_rm_h",
-        "IK_t",
-        "H A -> H B",
-        [
-            pr(1),
-            rl("RH", 1),
-            ax("E2'", A="A", B="B"),
-            rl("MP", 3, 2),
-        ],
-        premises=["A -> B"],
-    ),
-    script(
-        "ikt_rm_p",
-        "IK_t",
-        "P A -> P B",
-        [
-            pr(1),
-            rl("RH", 1),
-            ax("E5'", A="A", B="B"),
-            rl("MP", 3, 2),
-        ],
-        premises=["A -> B"],
-    ),
+    mirror("ikt_rm_h", "ikt_rm_g"),
+    mirror("ikt_rm_p", "ikt_rm_f"),
     script(
         "ikt_gc_hf",
         "IK_t",
@@ -940,111 +693,59 @@ FIXTURES: tuple[ProofScript, ...] = (
         ],
         premises=["F A -> B"],
     ),
-    script(
-        "ikt_gc_gp",
-        "IK_t",
-        "P A -> B",
-        [
-            pr(1),
-            rl("ikt_rm_p", 1),
-            ax("E8'", A="B"),
-            rl("hs", 2, 3),
-        ],
-        premises=["A -> G B"],
-    ),
-    script(
-        "ikt_gc_pg",
-        "IK_t",
-        "A -> G B",
-        [
-            pr(1),
-            rl("ikt_rm_g", 1),
-            ax("E9'", A="A"),
-            rl("hs", 3, 2),
-        ],
-        premises=["P A -> B"],
-    ),
+    mirror("ikt_gc_gp", "ikt_gc_hf"),
+    mirror("ikt_gc_pg", "ikt_gc_fh"),
     # --------------- every tense axiom as a connecting-system theorem
     script("ewald_2", "Int2GC", "G (A -> B) -> (G A -> G B)", [lm("g_k", A="A", B="B")]),
-    script("ewald_2p", "Int2GC", "H (A -> B) -> (H A -> H B)", [lm("h_k", A="A", B="B")]),
+    mirror("ewald_2p", "ewald_2"),
     script(
         "ewald_3",
         "Int2GC",
         "G (A & B) <-> (G A & G B)",
         [lm("g_dist_and", A="A", B="B")],
     ),
-    script(
-        "ewald_3p",
-        "Int2GC",
-        "H (A & B) <-> (H A & H B)",
-        [lm("h_dist_and", A="A", B="B")],
-    ),
+    mirror("ewald_3p", "ewald_3"),
     script(
         "ewald_4",
         "Int2GC",
         "F (A | B) <-> (F A | F B)",
         [lm("f_dist_or", A="A", B="B")],
     ),
-    script(
-        "ewald_4p",
-        "Int2GC",
-        "P (A | B) <-> (P A | P B)",
-        [lm("p_dist_or", A="A", B="B")],
-    ),
+    mirror("ewald_4p", "ewald_4"),
     script(
         "ewald_5",
         "Int2GC+FS",
         "G (A -> B) -> (F A -> F B)",
         [lm("g_imp_f", A="A", B="B")],
     ),
-    script(
-        "ewald_5p",
-        "Int2GC+FS",
-        "H (A -> B) -> (P A -> P B)",
-        [lm("h_imp_p", A="A", B="B")],
-    ),
+    mirror("ewald_5p", "ewald_5"),
     script(
         "ewald_6",
         "Int2GC+FS",
         "(G A & F B) -> F (A & B)",
         [lm("gf_dunn", A="A", B="B")],
     ),
-    script(
-        "ewald_6p",
-        "Int2GC+FS",
-        "(H A & P B) -> P (A & B)",
-        [lm("hp_dunn", A="A", B="B")],
-    ),
+    mirror("ewald_6p", "ewald_6"),
     script("ewald_7", "Int2GC+FS", "G ~A -> ~F A", [lm("g_not_f", A="A")]),
-    script("ewald_7p", "Int2GC+FS", "H ~A -> ~P A", [lm("h_not_p", A="A")]),
+    mirror("ewald_7p", "ewald_7"),
     script("ewald_8", "Int2GC", "F H A -> A", [lm("br2", A="A")]),
-    script("ewald_8p", "Int2GC", "P G A -> A", [lm("br4", A="A")]),
+    mirror("ewald_8p", "ewald_8"),
     script("ewald_9", "Int2GC", "A -> H F A", [lm("br1", A="A")]),
-    script("ewald_9p", "Int2GC", "A -> G P A", [lm("br3", A="A")]),
+    mirror("ewald_9p", "ewald_9"),
     script(
         "ewald_10",
         "Int2GC+FS",
         "(F A -> G B) -> G (A -> B)",
         [lm("fs3_derived", A="A", B="B")],
     ),
-    script(
-        "ewald_10p",
-        "Int2GC+FS",
-        "(P A -> H B) -> H (A -> B)",
-        [lm("fs4_derived", A="A", B="B")],
-    ),
+    mirror("ewald_10p", "ewald_10"),
     script(
         "ewald_11",
         "Int2GC+FS",
         "F (A -> B) -> (G A -> F B)",
         [ax("FS1", A="A", B="B")],
     ),
-    script(
-        "ewald_11p",
-        "Int2GC+FS",
-        "P (A -> B) -> (H A -> P B)",
-        [ax("FS2", A="A", B="B")],
-    ),
+    mirror("ewald_11p", "ewald_11"),
     # ----------------------------------------------------------- demos
     script(
         "demo_identity",
@@ -1067,7 +768,7 @@ FIXTURES: tuple[ProofScript, ...] = (
             rl("GC-FH", 1),
         ],
     ),
-)
+))
 
 
 def fixture_suite() -> tuple[CheckedProof, ...]:

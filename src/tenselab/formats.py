@@ -204,10 +204,10 @@ def _resolve(spec: Doc, stock: Mapping, load: Callable, what: str, base_dir):
         return load(spec)
     if isinstance(spec, str) and spec in stock:
         return stock[spec]()
-    path = Path(spec)
-    if base_dir is not None and not path.is_absolute():
+    path = Path(spec) if isinstance(spec, (str, Path)) else None
+    if path is not None and base_dir is not None and not path.is_absolute():
         path = base_dir / path
-    if not path.exists():
+    if path is None or not path.exists():
         raise FormatError(
             f"{spec!r} is neither a stock {what} ({', '.join(sorted(stock))}) "
             "nor an existing file"

@@ -268,6 +268,28 @@ SYSTEMS: dict[str, System] = {
 }
 
 
+# The tense mirror image, syntax.mirror, swaps F with P and G with H.  It
+# turns each schema, rule shape and system named here into its partner's,
+# and every other one into itself, so it turns a proof into a proof of
+# the mirrored theorem.
+_MIRROR_PAIRS = (
+    # axioms
+    ("FS1", "FS2"), ("FS3", "FS4"), ("BR1", "BR3"), ("BR2", "BR4"),
+    *((f"E{k}", f"E{k}'") for k in range(2, 12)),
+    ("IK1-F", "IK1-P"), ("IK2-G", "IK2-H"), ("IK3-F", "IK3-P"),
+    ("IK4-FG", "IK4-PH"), ("IK5-FG", "IK5-PH"),
+    # rules
+    ("GC-HF", "GC-GP"), ("GC-FH", "GC-PG"), ("RG", "RH"),
+    ("RM-F", "RM-P"), ("RM-G", "RM-H"), ("RN-G", "RN-H"),
+    # systems
+    ("Int2GC+FS1", "Int2GC+FS2"), ("Int2GC+FS3", "Int2GC+FS4"),
+)
+
+MIRROR_NAMES: dict[str, str] = {
+    x: y for a, b in _MIRROR_PAIRS for x, y in ((a, b), (b, a))
+}
+
+
 # ------------------------------------------------------------------- steps
 
 
@@ -389,14 +411,20 @@ def _instantiate(
             "BadSubstitution",
             f"{what} leaves metavariables unassigned: {', '.join(missing)}",
         )
-    stray = sorted(set(subst) - need)
+    _no_stray_keys(subst, need, step_no, what)
+    return substitute(schema, subst)
+
+
+def _no_stray_keys(
+    subst: Mapping[str, Formula], mentioned: set[str], step_no: int, what: str
+) -> None:
+    stray = sorted(set(subst) - mentioned)
     if stray:
         raise ProofCheckError(
             step_no,
             "BadSubstitution",
             f"{what} does not mention: {', '.join(stray)}",
         )
-    return substitute(schema, subst)
 
 
 def _apply_rule(
@@ -423,6 +451,9 @@ def _apply_rule(
                 f"{render_formula(pattern)}, got {render_formula(formula)}",
             )
         bindings = extended
+    # the premises are matched, so bindings names every premise metavariable
+    wanted = set(metavariables_of(spec.conclusion))
+    _no_stray_keys(subst, wanted | set(bindings), step_no, f"rule {rule_id}")
     for k, v in subst.items():
         if k in bindings and bindings[k] != v:
             raise ProofCheckError(
@@ -432,7 +463,7 @@ def _apply_rule(
                 f"{render_formula(bindings[k])}",
             )
         bindings[k] = v
-    unbound = sorted(set(metavariables_of(spec.conclusion)) - set(bindings))
+    unbound = sorted(wanted - set(bindings))
     if unbound:
         raise ProofCheckError(
             step_no,

@@ -480,6 +480,18 @@ def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     return f
 
 
+_MIRROR_KINDS = {Not: Not, Dia: BDia, BDia: Dia, Box: BBox, BBox: Box}
+
+
+def mirror(f: Formula) -> Formula:
+    """The tense mirror image of f: F and P swapped, G and H swapped."""
+    if isinstance(f, UNARY_KINDS):
+        return _MIRROR_KINDS[type(f)](mirror(f.child))
+    if isinstance(f, BINARY_KINDS):
+        return type(f)(mirror(f.left), mirror(f.right))
+    return f
+
+
 def match(
     pattern: Formula,
     target: Formula,

@@ -483,6 +483,15 @@ class TestCheckProof:
             "message": "no axiom schema 'XYZ'",
         }
 
+    def test_rule_step_key_the_rule_does_not_mention(self, capsys, corpus_dir, tmp_path):
+        doc = json.loads((corpus_dir / "proofs" / "identity_mp.json").read_text())
+        doc["steps"][2]["subst"] = {"Zzz": "q"}
+        script = tmp_path / "stray.json"
+        script.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-proof", "--script", str(script))
+        assert code == cli.FOUND
+        assert out == "step 3: [BadSubstitution] rule MP does not mention: Zzz\n"
+
     def test_unknown_system_has_no_step(self, capsys, tmp_path):
         script = tmp_path / "nosys.json"
         script.write_text(json.dumps({
@@ -678,9 +687,36 @@ _JUNK = st.recursive(
 )
 
 
+# proof steps of every kind, citing axioms and rules, their mirror images
+# and unknown ids, with step numbers and substitutions good and bad
+_PROOF_IDS = st.sampled_from(
+    ["K", "S", "MP", "FS1", "FS2", "BR1", "BR3", "E8", "E8'", "IK1-P", "GC-FH", "GC-PG",
+     "RM-P", "RH", "id", "XYZ"]
+)
+_SUBST = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["A", "B", "C", "Zzz", "a"]),
+        st.sampled_from(["p", "F p", "P p", "P p -> P p", "A", "p ->"]),
+        max_size=3,
+    ),
+    _JUNK,
+)
+_PROOF_STEP = st.one_of(
+    st.fixed_dictionaries({"axiom": _PROOF_IDS}, optional={"subst": _SUBST}),
+    st.fixed_dictionaries(
+        {"rule": _PROOF_IDS, "from": st.lists(st.integers(-1, 7), max_size=3) | _JUNK},
+        optional={"subst": _SUBST},
+    ),
+    st.fixed_dictionaries({"lemma": _PROOF_IDS}, optional={"subst": _SUBST}),
+    st.fixed_dictionaries({"premise": st.integers(-1, 2)}),
+)
+_PROOF = Path(__file__).resolve().parent.parent / "corpus" / "proofs" / "br1_gc.json"
+
+
 @st.composite
 def _malformed(draw, kind):
-    """JSON text near a valid algebra or frame document, often broken."""
+    """JSON text near a valid algebra, frame, model, fuzzy instance or
+    proof document, often broken."""
     labels = st.sampled_from(["0", "a", "b", "m", "1"])
     names = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
     element = st.sampled_from(names)
@@ -693,8 +729,23 @@ def _malformed(draw, kind):
             identity = st.just({x: x for x in names})
             table = st.one_of(identity, st.fixed_dictionaries({x: element for x in names}))
             doc["ops"] = {op: draw(table) for op in ("dia", "box", "bdia", "bbox")}
+    elif kind == "fuzzy":  # at most two points: chain3 lifts to 9 predicates
+        universe = names[:2]
+        doc = {
+            "algebra": draw(st.sampled_from(["chain3", "diamond_with_top", "nope"])),
+            "universe": universe,
+            "relation": {f"{x},{y}": draw(labels) for x in universe for y in universe},
+        }
+    elif kind == "proof":  # a checked corpus proof with steps drawn into it
+        doc = json.loads(_PROOF.read_text())
+        doc["system"] = draw(st.sampled_from(["Int2GC", "Int2GC+FS2", "IK_t", "Nope"]))
+        for step in draw(st.lists(_PROOF_STEP, max_size=2)):
+            doc["steps"].insert(draw(st.integers(0, len(doc["steps"]))), step)
     else:
         doc = {"worlds": names, "leq": draw(pairs), "R": draw(pairs)}
+        if kind == "model":
+            world_list = st.lists(st.sampled_from([*names, "zz"]), max_size=3)
+            doc["val"] = draw(st.dictionaries(st.sampled_from(["p", "q", "P", "top"]), world_list))
     damage = draw(st.sampled_from(["none"] * 3 + ["drop", "junk", "entry", "whole", "truncate"]))
     key = draw(st.sampled_from(sorted(doc)))
     if damage == "drop":
@@ -705,13 +756,17 @@ def _malformed(draw, kind):
         inner = doc[key]
         if isinstance(inner, list):
             inner.append(draw(_JUNK))
-        else:
-            table = inner[draw(st.sampled_from(sorted(inner)))]
-            x = draw(st.sampled_from(names))
+        elif isinstance(inner, dict) and inner:  # one table value, or one inner value
+            name = draw(st.sampled_from(sorted(inner)))
+            table, x = inner[name], draw(st.sampled_from(names))
+            if not isinstance(table, dict) or x not in table:
+                table, x = inner, name
             if draw(st.booleans()):
                 del table[x]
             else:
                 table[x] = draw(_JUNK)
+        else:
+            doc[key] = draw(_JUNK)
     elif damage == "whole":
         doc = draw(_JUNK)
     text = json.dumps(doc)
@@ -735,9 +790,10 @@ class TestMalformedInputFuzz:
     """Bad documents and formulas exit 0, 1 or 2 with a message, never a traceback."""
 
     @classmethod
-    def _run(cls, path, command, option, as_json, text):
+    def _run(cls, path, command, option, as_json, text, *more):
         path.write_text(text)
-        cls._main([command, *(["--json"] if as_json else []), option, str(path)], as_json)
+        json_flag = ["--json"] if as_json else []
+        cls._main([command, *json_flag, option, str(path), *more], as_json)
 
     @staticmethod
     def _main(argv, as_json):
@@ -767,16 +823,40 @@ class TestMalformedInputFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz_frame.json"
         self._run(path, "complex", "--frame", as_json, text)
 
+    @settings(max_examples=60, deadline=None)
+    @given(text=_malformed("proof"), as_json=st.booleans())
+    def test_check_proof(self, tmp_path_factory, text, as_json):
+        path = tmp_path_factory.getbasetemp() / "fuzz_proof.json"
+        self._run(path, "check-proof", "--script", as_json, text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        text=_malformed("model"),
+        as_json=st.booleans(),
+        world=st.sampled_from([[], ["--world", "a"], ["--world", "zz"]]),
+    )
+    def test_eval_model(self, tmp_path_factory, text, as_json, world):
+        path = tmp_path_factory.getbasetemp() / "fuzz_model.json"
+        self._run(path, "eval", "--model", as_json, text, "--formula", "p -> G q", *world)
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=_malformed("fuzzy"), as_json=st.booleans())
+    def test_fuzzy_build(self, tmp_path_factory, text, as_json):
+        path = tmp_path_factory.getbasetemp() / "fuzz_fuzzy.json"
+        self._run(path, "fuzzy-build", "--instance", as_json, text)
+
     @settings(max_examples=100, deadline=None)
     @given(
         text=_FORMULA_TEXT,
-        command=st.sampled_from(["parse", "eval", "validity"]),
+        command=st.sampled_from(["parse", "eval", "validity", "frame-validity"]),
         as_json=st.booleans(),
     )
     def test_formula_commands(self, text, command, as_json):
         json_flag = ["--json"] if as_json else []
         if command == "parse":
             argv = ["parse", *json_flag, "--", text]
+        elif command == "frame-validity":
+            argv = [command, *json_flag, "--frame", "two_forward", f"--formula={text}"]
         else:
             argv = [command, *json_flag, "--algebra", "chain3", f"--formula={text}"]
             if command == "eval":

@@ -227,6 +227,9 @@ class TestRejections:
         rel = {**good["relation"], "x,y": "nope"}
         with pytest.raises(FormatError, match="not an element"):
             load_fuzzy({**good, "relation": rel})
+        for algebra in (None, 3, ["chain3"]):
+            with pytest.raises(FormatError, match="neither a stock algebra"):
+                load_fuzzy({**good, "algebra": algebra})
 
     def test_proof_step_shapes(self):
         base = {"system": "Int", "theorem": "p -> p"}

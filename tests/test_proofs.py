@@ -1,6 +1,6 @@
 import pytest
 
-from tenselab.algebra import algebra_validity, identity_expansion
+from tenselab.algebra import algebra_validity, attach_ops, identity_expansion
 from tenselab.fixtures import (
     FIXTURES,
     ax,
@@ -12,9 +12,11 @@ from tenselab.fixtures import (
     rl,
     script,
 )
+from tenselab.frames import Frame, frame_validity
 from tenselab.lattice import chain
 from tenselab.proofs import (
     AXIOM_SCHEMAS,
+    MIRROR_NAMES,
     RULE_SPECS,
     SYSTEMS,
     ProofCheckError,
@@ -22,7 +24,14 @@ from tenselab.proofs import (
     check_proof,
     register_derived_rule,
 )
-from tenselab.syntax import Var, metavariables_of, parse_schema, substitute
+from tenselab.syntax import (
+    Var,
+    has_modal,
+    metavariables_of,
+    mirror,
+    parse_schema,
+    substitute,
+)
 
 
 def _check(name, system, theorem, steps, premises=(), env=None):
@@ -174,6 +183,16 @@ class TestErrorCodes:
         e = _error("t", "Int", "top", [ax("TOP", A="p")])
         assert e.code == "BadSubstitution"
         assert "does not mention" in e.message
+        # a rule step is held to the same: keys its shapes do not mention
+        e = _error(
+            "t",
+            "Int",
+            "q",
+            [pr(1), pr(2), rl("MP", 2, 1, Zzz="q")],
+            premises=("p", "p -> q"),
+        )
+        assert (e.code, e.step) == ("BadSubstitution", 3)
+        assert e.message == "rule MP does not mention: Zzz"
 
     def test_bad_substitution_conflict(self):
         e = _error(
@@ -343,3 +362,70 @@ class TestFixtureSuite:
         assert fixture_script("id").name == "id"
         with pytest.raises(KeyError):
             fixture_script("nonexistent")
+
+
+def _mirror_name(name):
+    return MIRROR_NAMES.get(name, name)
+
+
+class TestMirror:
+    """Swapping F with P and G with H maps each axiom, rule and system to
+    the one MIRROR_NAMES pairs it with, so it maps proofs to proofs."""
+
+    def test_table_pairs_known_names(self):
+        known = set(AXIOM_SCHEMAS) | set(RULE_SPECS) | set(SYSTEMS)
+        for name, other in MIRROR_NAMES.items():
+            assert name in known and name != other
+            assert MIRROR_NAMES[other] == name
+
+    def test_axiom_pairs(self):
+        for name, schema in AXIOM_SCHEMAS.items():
+            assert AXIOM_SCHEMAS[_mirror_name(name)] == mirror(schema), name
+
+    def test_rule_pairs(self):
+        for name, spec in RULE_SPECS.items():
+            other = RULE_SPECS[_mirror_name(name)]
+            assert other.premises == tuple(map(mirror, spec.premises)), name
+            assert other.conclusion == mirror(spec.conclusion), name
+
+    def test_system_pairs(self):
+        for name, system in SYSTEMS.items():
+            other = SYSTEMS[_mirror_name(name)]
+            assert set(map(_mirror_name, system.axioms)) == other.axioms, name
+            assert set(map(_mirror_name, system.rules)) == other.rules, name
+
+
+# the modal axioms, metavariables sent to variables (mirroring leaves the
+# others as they are), and non-theorems that fail on some IK frames
+_MODAL_INSTANCES = [
+    substitute(s, {m: Var(m.lower()) for m in metavariables_of(s)})
+    for s in AXIOM_SCHEMAS.values()
+    if has_modal(s)
+] + [parse_schema(t) for t in ("G p -> p", "p -> G F p", "G (p | q) -> G p | F q")]
+
+
+class TestSemanticMirror:
+    """The mirror on the semantic side, without the proof checker: a
+    formula's verdict on a structure is its mirror's on the structure with
+    the two Galois pairs swapped, or with R reversed.  A stride thins the
+    structures to keep the two tests near half a second."""
+
+    def test_algebras(self, op_combos_upto5):
+        verdicts = set()
+        for alg in [a for a in op_combos_upto5 if a.n <= 4][::5]:
+            swapped = attach_ops(alg.base, alg.bdia, alg.bbox, alg.dia, alg.box)
+            for f in _MODAL_INSTANCES:
+                got = algebra_validity(alg, f)
+                assert got == algebra_validity(swapped, mirror(f)), (alg.base.name, f)
+                verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+    def test_frames(self, ik_frames_upto3):
+        verdicts = set()
+        for frame in ik_frames_upto3[::9]:
+            reversed_r = Frame(frame.names, frame.leq, frame.r.T)
+            for f in _MODAL_INSTANCES:
+                got = frame_validity(frame, f)
+                assert got == frame_validity(reversed_r, mirror(f)), (frame.name, f)
+                verdicts.add(got is None)
+        assert verdicts == {True, False}

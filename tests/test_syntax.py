@@ -32,6 +32,7 @@ from tenselab.syntax import (
     iter_subformulas,
     match,
     metavariables_of,
+    mirror,
     parse_formula,
     parse_schema,
     render_formula,
@@ -345,3 +346,31 @@ class TestSubstitutionAndMatch:
         target = parse_schema("A -> p")
         got = match(pattern, target)
         assert got == {"A": MetaVar("A"), "B": P}
+
+
+_SCHEMAS = st.recursive(
+    st.sampled_from([Top(), Bot(), P, Q, MetaVar("A"), MetaVar("B")]),
+    lambda kids: st.builds(
+        lambda op, f: op(f), st.sampled_from([Not, Dia, Box, BDia, BBox]), kids
+    )
+    | st.builds(
+        lambda op, f, g: op(f, g), st.sampled_from([And, Or, Imp, Iff]), kids, kids
+    ),
+    max_leaves=12,
+)
+
+
+class TestMirror:
+    def test_swaps_the_two_pairs(self):
+        f = parse_schema("F A -> G (P B & H ~p) | dia q")
+        assert mirror(f) == parse_schema("P A -> H (F B & G ~p) | bdia q")
+
+    @given(_SCHEMAS)
+    def test_involution(self, f):
+        assert mirror(mirror(f)) == f
+
+    @given(_SCHEMAS, _SCHEMAS, _SCHEMAS)
+    def test_commutes_with_substitute(self, f, a, b):
+        sigma = {"A": a, "B": b}
+        mirrored = {k: mirror(v) for k, v in sigma.items()}
+        assert mirror(substitute(f, sigma)) == substitute(mirror(f), mirrored)

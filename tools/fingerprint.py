@@ -17,6 +17,10 @@ that keeps every result keeps the document byte for byte.  It covers
   embedding report of every H2GC+FS combo up to size 5, and the complex
   algebra (names, leq, tables, carrier, law bits) of every frame in
   enumerate_frames(3);
+- the proof corpus: a count and one digest over every fixture script in
+  suite order, each as its dump_proof document (name, system, theorem,
+  premises, and each step's kind, id, step numbers and substitution in
+  the script's order);
 - the CLI: exit code, stdout (JSON parsed where it is JSON) and stderr
   of a fixed list of commands, run in this process.
 
@@ -47,6 +51,8 @@ from tenselab.algebra import (
     stock_algebras,
 )
 from tenselab.duality import DegenerateAlgebra, canonical_frame, complex_algebra, embedding_check
+from tenselab.fixtures import FIXTURES
+from tenselab.formats import dump_proof
 from tenselab.frames import enumerate_frames, stock_frames
 from tenselab.lattice import enumerate_heyting
 
@@ -224,6 +230,13 @@ def duality() -> dict:
     }
 
 
+def proofs() -> dict:
+    digest = hashlib.sha256()
+    for script in FIXTURES:
+        digest.update(json.dumps(dump_proof(script)).encode() + b"\n")
+    return {"count": len(FIXTURES), "digest": digest.hexdigest()}
+
+
 def _commands() -> list[list[str]]:
     algebras = list(stock_algebras()) + sorted(
         str(p.relative_to(ROOT)) for p in (CORPUS / "algebras").glob("*.json")
@@ -289,6 +302,7 @@ def main() -> int:
         "conservativity": conservativity(),
         "frames": frames(),
         "duality": duality(),
+        "proofs": proofs(),
         "cli": commands(),
     }
     json.dump(doc, sys.stdout, indent=1)
