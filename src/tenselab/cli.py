@@ -189,9 +189,16 @@ def _cmd_eval(args) -> int:
     return OK
 
 
+def _var_cap(args) -> int:
+    if args.vars < 0:
+        raise UsageError(f"--vars must be 0 or more, not {args.vars}")
+    return args.vars
+
+
 def _cmd_validity(args) -> int:
+    var_cap = _var_cap(args)
     alg = formats.resolve_algebra(args.algebra)
-    cex = algebra_validity(alg, args.formula, var_cap=args.vars)
+    cex = algebra_validity(alg, args.formula, var_cap=var_cap)
     if cex is None:
         _emit({"valid": True, "countervaluation": None}, args.json, ["valid"])
         return OK
@@ -205,8 +212,9 @@ def _cmd_validity(args) -> int:
 
 
 def _cmd_frame_validity(args) -> int:
+    var_cap = _var_cap(args)
     frame = formats.resolve_frame(args.frame)
-    cex = frame_validity(frame, args.formula, var_cap=args.vars)
+    cex = frame_validity(frame, args.formula, var_cap=var_cap)
     if cex is None:
         _emit({"valid": True, "counterexample": None}, args.json, ["valid"])
         return OK

@@ -17,11 +17,14 @@ An IK frame satisfies the two confluence conditions
 which make all truth sets up-closed (persistence).
 
 A formula is compiled once into postfix steps (syntax.compile_formula)
-and evaluated for a whole block of valuations at once: its truth sets
-form a bool matrix with one row per valuation and one column per world,
-and each step is one array operation on the relations above.  The
-public results (truth_set, Model.val) are int bitmasks over world
-indices.
+and evaluated for a whole block of valuations at once by one loop,
+_truth_rows, which reads each unary clause (~, F, G, P, H) through a
+function it is given.  truth_set hands it bool rows, one column per
+world, and clauses that are bool matrix products with the relations
+above.  frame_validity hands it world sets as int bitmasks, one per
+valuation, and clauses that are lookups in the frame's clause table,
+which holds each clause's value on every world set.  The public results
+(truth_set, Model.val) are int bitmasks over world indices.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .syntax import (
     And,
     BBox,
     BDia,
+    Bot,
     Box,
     Dia,
     Formula,
@@ -111,15 +115,40 @@ class Frame:
 
     @cached_property
     def up_set_masks(self) -> np.ndarray:
-        """Every up-set as a world bitmask, ascending; read-only int32.
+        """Every up-set as a world bitmask, ascending; read-only intp.
 
         Listed on first use: a frame that is only built or IK-checked
         never needs them.
         """
-        # up_sets stops at 20 worlds, so every mask fits in 32 bits
-        masks = np.array(up_sets(self.leq), dtype=np.int32)
+        masks = np.array(up_sets(self.leq), dtype=np.intp)
         masks.flags.writeable = False
         return masks
+
+    @cached_property
+    def clause_table(self) -> np.ndarray:
+        """Each unary clause on every world set: row k, column m is the
+        bitmask of the worlds where _CLAUSES[k] holds when its argument
+        holds exactly at the worlds of bitmask m.  Read-only intp, of
+        shape (5, 2^n).
+
+        A universal clause fails where the matching "some" clause holds
+        on the complement of m, and a table read backwards reads each
+        world set's complement.  Built on first use by frame_validity
+        alone.  up_sets refuses frames past 20 worlds, so the table has
+        at most 5 * 2^20 entries (40 MB).
+        """
+        full = (1 << self.n) - 1
+        table = np.stack(
+            [
+                full ^ _some_table(self.leq),  # ~: no successor in m
+                _some_table(self.r_up),  # F
+                full ^ _some_table(self.leq_r)[::-1],  # G: none outside m
+                _some_table(self.leq_r.T),  # P
+                full ^ _some_table(self.r_up.T)[::-1],  # H: none outside m
+            ]
+        )
+        table.flags.writeable = False
+        return table
 
     def __repr__(self) -> str:
         return f"Frame({self.name or ','.join(self.names)})"
@@ -203,6 +232,24 @@ class Model:
         return f"Model({self.frame!r}, vars={sorted(self.val)})"
 
 
+# the rows of Frame.clause_table
+_CLAUSES = (Not, Dia, Box, BDia, BBox)
+
+
+def _some_table(rel: np.ndarray) -> np.ndarray:
+    """Entry m is the bitmask of the worlds x with rel[x, y] for some
+    world y in bitmask m, for every m in [0, 2^n).
+
+    Built by doubling: the sets holding world j are the sets below 2^j
+    with j added, so their entries are those below 2^j with column j of
+    rel added.
+    """
+    table = np.zeros(1 << len(rel), dtype=np.intp)
+    for j, column in enumerate(mask_rows(rel.T)):
+        table[1 << j : 2 << j] = table[: 1 << j] | column
+    return table
+
+
 def _some(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """Column x of row v is set iff rel[x, y] and a[v, y] for some world y.
 
@@ -211,11 +258,39 @@ def _some(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
     return a @ rel.T
 
 
+def _row_clause(frame: Frame) -> Callable[[type, np.ndarray], np.ndarray]:
+    """How _truth_rows reads a clause on bool rows of truth values, one
+    column per world: as bool matrix products with the frame's relations."""
+
+    def clause(kind, v):
+        if kind is Not:
+            return ~_some(v, frame.leq)
+        if kind is Dia:
+            return _some(v, frame.r_up)
+        if kind is Box:
+            return ~_some(~v, frame.leq_r)
+        if kind is BDia:
+            return _some(v, frame.leq_r.T)
+        return ~_some(~v, frame.r_up.T)  # BBox
+
+    return clause
+
+
 def _truth_rows(
-    frame: Frame, program: Program, env: Mapping[str, np.ndarray], rows: int
+    program: Program,
+    env: Mapping[str, np.ndarray],
+    empty: np.ndarray,
+    clause: Callable[[type, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Truth sets of a compiled formula as a (rows, worlds) bool matrix,
-    one row per valuation; env maps each variable to its own such matrix."""
+    """Truth sets of a compiled formula, one per valuation, in the shape
+    of the env values: bool rows of worlds or int world bitmasks.
+
+    env maps each variable to its truth sets and empty holds the empty
+    set once per valuation.  clause(kind, v) gives the truth sets of a
+    unary kind (see _CLAUSES) whose argument holds on the sets v; ->
+    and <-> are ~ of a set difference and of a symmetric difference,
+    and top is ~ bot.
+    """
     for node in program.hazards:
         if isinstance(node, MetaVar):
             raise FrameError(f"metavariable {node.name!r} has no truth set")
@@ -230,23 +305,15 @@ def _truth_rows(
         elif kind is Or:
             v = vals[a] | vals[b]
         elif kind is Imp:
-            v = ~_some(vals[a] & ~vals[b], frame.leq)
-        elif kind is Not:
-            v = ~_some(vals[a], frame.leq)
+            v = clause(Not, vals[a] & ~vals[b])
         elif kind is Iff:
-            v = ~_some(vals[a] ^ vals[b], frame.leq)
-        elif kind is Dia:
-            v = _some(vals[a], frame.r_up)
-        elif kind is Box:
-            v = ~_some(~vals[a], frame.leq_r)
-        elif kind is BDia:
-            v = _some(vals[a], frame.leq_r.T)
-        elif kind is BBox:
-            v = ~_some(~vals[a], frame.r_up.T)
+            v = clause(Not, vals[a] ^ vals[b])
         elif kind is Top:
-            v = np.ones((rows, frame.n), dtype=bool)
-        else:  # Bot
-            v = np.zeros((rows, frame.n), dtype=bool)
+            v = clause(Not, empty)
+        elif kind is Bot:
+            v = empty
+        else:  # a unary clause
+            v = clause(kind, vals[a])
         vals.append(v)
     return vals[-1]
 
@@ -262,7 +329,8 @@ def truth_set(model: Model, formula: Union[Formula, str]) -> int:
         for v in program.variables
         if v in model.val
     }
-    truth = _truth_rows(frame, program, env, 1)
+    empty = np.zeros((1, frame.n), dtype=bool)
+    truth = _truth_rows(program, env, empty, _row_clause(frame))
     return sum(1 << int(x) for x in np.flatnonzero(truth[0]))
 
 
@@ -290,7 +358,9 @@ def frame_validity(
     Returns None when valid.  Valuations are swept in ascending bitmask
     order per variable (variables sorted by name), one block of them at
     a time, so the reported counterexample is deterministic: the first
-    failing valuation and its lowest failing world.
+    failing valuation and its lowest failing world.  Truth sets are
+    world bitmasks, and each unary clause is a lookup in the frame's
+    clause table.
     """
     if isinstance(formula, str):
         formula = parse_formula(formula)
@@ -299,22 +369,29 @@ def frame_validity(
     if len(names) > var_cap:
         raise CapExceeded("variable count", var_cap)
     upsets = frame.up_set_masks
-    worlds = np.arange(frame.n, dtype=np.int32)
+    tables = dict(zip(_CLAUSES, frame.clause_table))
+
+    def clause(kind, v):
+        return tables[kind][v]
+
+    full = (1 << frame.n) - 1
     for grid in valuation_blocks(len(upsets), len(names)):
-        # (variable, valuation, world) bits of this block's up-sets
-        rows = (upsets[grid, None] >> worlds & 1).astype(bool)
-        truth = _truth_rows(frame, program, dict(zip(names, rows)), grid.shape[1])
-        valid = truth.all(axis=1)
-        if not valid.all():
-            first = int(np.argmin(valid))
+        sets = upsets[grid]  # (variable, valuation) up-set bitmasks
+        empty = np.zeros(grid.shape[1], dtype=np.intp)
+        truth = _truth_rows(program, dict(zip(names, sets)), empty, clause)
+        failing = truth != full
+        if failing.any():
+            first = int(failing.argmax())
             return FrameCounterexample(
-                valuation={
-                    v: tuple(frame.names[x] for x in np.flatnonzero(rows[k, first]))
-                    for k, v in enumerate(names)
-                },
-                world=frame.names[int(np.argmin(truth[first]))],
+                valuation={v: _world_names(frame, sets[k, first]) for k, v in enumerate(names)},
+                world=_world_names(frame, full & ~int(truth[first]))[0],
             )
     return None
+
+
+def _world_names(frame: Frame, mask: int) -> tuple[str, ...]:
+    """The names of the worlds in a bitmask, in world order."""
+    return tuple(name for x, name in enumerate(frame.names) if mask >> x & 1)
 
 
 # ----------------------------------------------------------- enumeration

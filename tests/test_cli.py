@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import tenselab
 from tenselab import cli, duality, formats, frames
 from tenselab.algebra import AlgebraWithOps
-from tenselab.syntax import parse_formula
+from tenselab.syntax import parse_formula, variables_of
 
 
 def run(capsys, *argv):
@@ -327,6 +327,17 @@ class TestValidity:
         )
         assert code == cli.USAGE
 
+    def test_negative_var_cap(self, capsys):
+        # a closed formula is within any cap, so only the bad option can fail
+        code, out, err = run(
+            capsys, "validity", "--algebra", "chain3", "--formula", "top", "--vars", "-3"
+        )
+        assert (code, out, err) == (cli.USAGE, "", "error: --vars must be 0 or more, not -3\n")
+        code, out, err = run(
+            capsys, "validity", "--algebra", "chain3", "--formula", "top", "--vars", "0"
+        )
+        assert (code, out) == (cli.OK, "valid\n")
+
 
 class TestFrameValidity:
     def test_counterexample(self, capsys):
@@ -344,6 +355,16 @@ class TestFrameValidity:
     def test_valid(self, capsys):
         code, out, err = run(
             capsys, "frame-validity", "--frame", "one_point", "--formula", "G p -> p"
+        )
+        assert (code, out) == (cli.OK, "valid\n")
+
+    def test_negative_var_cap(self, capsys):
+        code, out, err = run(
+            capsys, "frame-validity", "--frame", "one_point", "--formula", "~ bot", "--vars=-1"
+        )
+        assert (code, out, err) == (cli.USAGE, "", "error: --vars must be 0 or more, not -1\n")
+        code, out, err = run(
+            capsys, "frame-validity", "--frame", "one_point", "--formula", "~ bot", "--vars", "0"
         )
         assert (code, out) == (cli.OK, "valid\n")
 
@@ -882,8 +903,8 @@ _SET_ENTRY = st.tuples(
 
 
 class TestOptionFuzz:
-    """Drawn --bounds and --set strings exit 0, 1, 2 or 3, never with a
-    traceback.  Every search carries a deadline of at most 0.05 s."""
+    """Drawn --bounds, --set and --vars values exit 0, 1, 2 or 3, never
+    with a traceback.  Every search carries a deadline of at most 0.05 s."""
 
     @staticmethod
     def _main(argv):
@@ -929,6 +950,21 @@ class TestOptionFuzz:
     def test_eval_sets(self, sets, as_json):
         argv = ["eval", *(["--json"] if as_json else []), "--algebra", "chain3"]
         self._main([*argv, "--formula", "p -> q", *(f"--set={entry}" for entry in sets)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from([
+            ["validity", "--algebra", "chain3_identity"],
+            ["frame-validity", "--frame", "two_chain_r_leq"],
+        ]),
+        formula=st.sampled_from(["top", "~ bot", "p -> q", "G p -> p", "p1 & p2 & p3 & p4 & p5"]),
+        cap=st.one_of(st.integers(-(2**70), -1), st.just(0), st.integers(1, 6), st.integers(2**31)),
+        as_json=st.booleans(),
+    )
+    def test_var_caps(self, command, formula, cap, as_json):
+        argv = [*command, *(["--json"] if as_json else []), "--formula", formula]
+        code = self._main([*argv, f"--vars={cap}"])
+        assert (code == cli.USAGE) == (cap < 0 or len(variables_of(parse_formula(formula))) > cap)
 
 
 def test_installed_console_script():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenselab import duality, frames
 from tenselab.algebra import CapExceeded, UnboundVariable
@@ -40,7 +41,14 @@ from tenselab.syntax import (
     parse_formula,
 )
 
-from util import canonical_code, loop_frames, peak_allocation, random_formula
+from util import (
+    canonical_code,
+    loop_frames,
+    peak_allocation,
+    random_formula,
+    row_frame_validity,
+    sweep_formulas,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -200,6 +208,33 @@ def _six_cycle():
     """Six discrete worlds (64 up-sets) with R a cycle."""
     names = tuple(f"w{i}" for i in range(6))
     return make_frame(names, [], [(a, b) for a, b in zip(names, names[1:] + names[:1])])
+
+
+def _sweep_pool():
+    """12 IK and 12 non-IK frames of 4 to 6 worlds.  Their orders are
+    sparse, so most of them have 12 to 64 up-sets."""
+    rng = random.Random(25)
+    pool = {True: [], False: []}
+    while min(map(len, pool.values())) < 12:
+        n = rng.choice((4, 5, 6))
+        leq = np.array([[i == j or (i < j and rng.random() < 0.2) for j in range(n)] for i in range(n)])
+        r = np.array([[rng.random() < 0.25 for _ in range(n)] for _ in range(n)])
+        name = f"pool{len(pool[True]) + len(pool[False])}"
+        fr = Frame(tuple(f"w{i}" for i in range(n)), transitive_closure(leq), r, name=name)
+        kind = pool[check_ik_frame(fr).is_ik]
+        if len(kind) < 12:
+            kind.append(fr)
+    return pool[True] + pool[False]
+
+
+_SWEEP_POOL = _sweep_pool()
+
+_FORMULAS = st.recursive(
+    st.sampled_from([Top(), Bot(), Var("p"), Var("q")]),
+    lambda sub: st.builds(lambda op, f: op(f), st.sampled_from([Not, Dia, Box, BDia, BBox]), sub)
+    | st.builds(lambda op, f, g: op(f, g), st.sampled_from([And, Or, Imp, Iff]), sub, sub),
+    max_leaves=10,
+)
 
 
 class TestCompose:
@@ -463,12 +498,87 @@ class TestFrameValidity:
             frame_validity(fr, random_formula(rng, depth=3))
         assert len(calls) == 1 and calls[0] is fr.leq
         masks = fr.up_set_masks
-        assert masks.dtype == np.int32 and list(masks) == list(up_sets(fr.leq))
+        assert masks.dtype == np.intp and list(masks) == list(up_sets(fr.leq))
         with pytest.raises(ValueError):
             masks[0] = 1
         # the complex algebra reads the same list, in the same order
         assert duality.complex_algebra(fr).carrier == tuple(masks.tolist())
         assert len(calls) == 1 and calls[0] is fr.leq
+
+
+class TestClauseTable:
+    """frame_validity reads each unary clause from a table built once per
+    frame; the bool-row sweep of util.row_frame_validity is its oracle."""
+
+    @staticmethod
+    def _row_table(fr):
+        """Each clause of frames._CLAUSES on every world set, through the
+        bool matrix products that truth_set uses."""
+        sets = (np.arange(1 << fr.n)[:, None] >> np.arange(fr.n) & 1).astype(bool)
+        clause = frames._row_clause(fr)
+        return np.stack([clause(kind, sets) @ (1 << np.arange(fr.n)) for kind in frames._CLAUSES])
+
+    def test_equals_row_clauses_on_every_world_set(self, ik_frames_upto3):
+        rng = random.Random(8)
+        non_ik = []
+        while len(non_ik) < 200:
+            (fr,) = sample_frames(rng.randint(2, 8), 1, seed=rng.random(), require_ik=False)
+            if not check_ik_frame(fr).is_ik:
+                non_ik.append(fr)
+        assert max(fr.n for fr in non_ik) == 8
+        for fr in (*ik_frames_upto3, *non_ik):
+            assert (fr.clause_table == self._row_table(fr)).all(), fr
+
+    def test_sweep_matches_row_oracle_on_the_benchmark_pairs(self, ik_frames_upto3):
+        formulas = sweep_formulas()
+        assert len(formulas) == 43
+        refuted = Counter()
+        for fr in ik_frames_upto3:
+            for k, f in enumerate(formulas):
+                got = frame_validity(fr, f)
+                assert got == row_frame_validity(fr, f), (fr.name, f)
+                if got is not None:
+                    refuted[k] += 1
+        # the axiom instances hold everywhere; each non-theorem fails somewhere
+        assert sorted(refuted) == [39, 40, 41, 42]
+
+    def test_pool_has_both_kinds(self):
+        ik = [check_ik_frame(fr).is_ik for fr in _SWEEP_POOL]
+        assert ik.count(True) == ik.count(False) == 12
+        assert {fr.n for fr in _SWEEP_POOL} == {4, 5, 6}
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame=st.sampled_from(_SWEEP_POOL), formula=_FORMULAS)
+    def test_sweep_matches_row_oracle_on_drawn_formulas(self, frame, formula):
+        assert frame_validity(frame, formula) == row_frame_validity(frame, formula)
+
+    def test_built_once_by_the_sweep_alone(self, monkeypatch):
+        calls = []
+        original = frames._some_table
+
+        def counted(rel):
+            calls.append(rel)
+            return original(rel)
+
+        monkeypatch.setattr(frames, "_some_table", counted)
+        listed = list(enumerate_frames(2))
+        fr = listed[-1]
+        assert check_ik_frame(fr).is_ik
+        duality.complex_algebra(fr)
+        truth_set(Model(fr, {"p": []}), "F p -> G ~ p")
+        made = make_frame(("w", "u"), [("w", "u")], [("u", "w")])
+        assert calls == []
+        assert all("clause_table" not in f.__dict__ for f in (*listed, made))
+        rng = random.Random(25)
+        for _ in range(25):
+            frame_validity(fr, random_formula(rng, depth=3))
+        assert len(calls) == len(frames._CLAUSES)
+        table = fr.clause_table
+        assert table is fr.__dict__["clause_table"]
+        assert table.dtype == np.intp and table.shape == (5, 1 << fr.n)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert len(calls) == len(frames._CLAUSES)
 
 
 class TestEnumeration:

@@ -1,5 +1,6 @@
 """Small helpers shared between test modules, the scalar relabeling and
-frame-listing loops kept as oracles for the array engine, and the
+frame-listing loops kept as oracles for the array engine, the bool-row
+frame sweep kept as an oracle for the clause-table sweep, and the
 one-combo-at-a-time search loop kept as an oracle for the chunked scan."""
 
 import itertools
@@ -8,9 +9,24 @@ import tracemalloc
 
 import numpy as np
 
-from tenselab.algebra import H2GC_LAWS, algebra_validity, enumerate_op_combos, evaluate
-from tenselab.frames import Frame, check_ik_frame, compose
-from tenselab.lattice import mask_rows
+from tenselab import proofs
+from tenselab.algebra import (
+    H2GC_LAWS,
+    CapExceeded,
+    algebra_validity,
+    enumerate_op_combos,
+    evaluate,
+    valuation_blocks,
+)
+from tenselab.frames import (
+    Frame,
+    FrameCounterexample,
+    _row_clause,
+    _truth_rows,
+    check_ik_frame,
+    compose,
+)
+from tenselab.lattice import mask_rows, up_sets
 from tenselab.search import CounterModel, Separation, Verdict
 
 from tenselab.syntax import (
@@ -27,6 +43,10 @@ from tenselab.syntax import (
     Or,
     Top,
     Var,
+    compile_formula,
+    metavariables_of,
+    parse_formula,
+    substitute,
 )
 
 _LEAVES = ("var", "var", "var", "top", "bot")
@@ -131,6 +151,56 @@ def loop_frames(n_max: int):
                 seen.add(code)
                 counter += 1
                 yield frame
+
+
+# ----------------------------------------------- frame-validity oracle
+
+
+def row_frame_validity(frame, formula, var_cap=4):
+    """frames.frame_validity on bool rows: a block's truth sets as a
+    (valuations, worlds) bool matrix, each clause a bool matrix product
+    with the frame's relations (frames._row_clause, as truth_set reads
+    them), and the witness read from the first row that is not all true."""
+    if isinstance(formula, str):
+        formula = parse_formula(formula)
+    program = compile_formula(formula)
+    names = program.variables
+    if len(names) > var_cap:
+        raise CapExceeded("variable count", var_cap)
+    upsets = np.array(up_sets(frame.leq))
+    worlds = np.arange(frame.n)
+    for grid in valuation_blocks(len(upsets), len(names)):
+        # (variable, valuation, world) bits of this block's up-sets
+        rows = (upsets[grid, None] >> worlds & 1).astype(bool)
+        empty = np.zeros((grid.shape[1], frame.n), dtype=bool)
+        truth = _truth_rows(program, dict(zip(names, rows)), empty, _row_clause(frame))
+        valid = truth.all(axis=1)
+        if not valid.all():
+            first = int(np.argmin(valid))
+            return FrameCounterexample(
+                valuation={
+                    v: tuple(frame.names[x] for x in np.flatnonzero(rows[k, first]))
+                    for k, v in enumerate(names)
+                },
+                world=frame.names[int(np.argmin(truth[first]))],
+            )
+    return None
+
+
+def sweep_formulas():
+    """The formulas of the frames-size3 benchmark: the 39 instances of the
+    IK_t and BR1-BR4 axioms, metavariables sent to p, q, r, s in name
+    order, then its 4 non-theorems, each with a countermodel on some IK
+    frame of at most 3 worlds."""
+    tense = sorted(proofs.SYSTEMS["IK_t"].axioms - proofs.SYSTEMS["Int"].axioms)
+    names = tense + ["BR1", "BR2", "BR3", "BR4"] + sorted(proofs.SYSTEMS["Int"].axioms)
+    out = []
+    for name in names:
+        schema = proofs.AXIOM_SCHEMAS[name]
+        letters = dict(zip(metavariables_of(schema), map(Var, "pqrs")))
+        out.append(substitute(schema, letters))
+    non_theorems = ("G p -> p", "p | ~ p", "F p <-> ~ G ~ p", "G (p | q) -> G p | F q")
+    return out + [parse_formula(text) for text in non_theorems]
 
 
 # ------------------------------------------------------ search oracles

@@ -13,6 +13,10 @@ that keeps every result keeps the document byte for byte.  It covers
   witness;
 - the IK frames of enumerate_frames(3), as a count and one digest per
   size over their names, world names, leq and R, in listing order;
+- frame validity on those frames of the 43 formulas of the
+  frames-size3 benchmark (the 39 IK_t and BR1-BR4 axiom instances and
+  4 non-theorems), as a count and one digest per size over each frame
+  name, rendered formula and counterexample;
 - duality, as a count and one digest per size: the canonical frame and
   embedding report of every H2GC+FS combo up to size 5, and the complex
   algebra (names, leq, tables, carrier, law bits) of every frame in
@@ -53,8 +57,10 @@ from tenselab.algebra import (
 from tenselab.duality import DegenerateAlgebra, canonical_frame, complex_algebra, embedding_check
 from tenselab.fixtures import FIXTURES
 from tenselab.formats import dump_proof
-from tenselab.frames import enumerate_frames, stock_frames
+from tenselab.frames import enumerate_frames, frame_validity, stock_frames
 from tenselab.lattice import enumerate_heyting
+from tenselab.proofs import AXIOM_SCHEMAS, SYSTEMS
+from tenselab.syntax import Var, metavariables_of, parse_formula, render_formula, substitute
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -89,6 +95,7 @@ EQUIV = (
     (("d1",), ("dunn2_dia",), "backward"),
 )
 CONSERVATIVITY = ("p | ~p", "(p -> q) | (q -> p)", "~ ~ p -> p", "p -> p", "~ p | ~ ~ p")
+NON_THEOREMS = ("G p -> p", "p | ~ p", "F p <-> ~ G ~ p", "G (p | q) -> G p | F q")
 
 
 def _mask(doc):
@@ -199,6 +206,27 @@ def frames() -> dict:
     )
 
 
+def _sweep_formulas() -> list:
+    """The 39 IK_t and BR1-BR4 axiom instances, metavariables sent to p,
+    q, r, s in name order, then the 4 non-theorems."""
+    tense = sorted(SYSTEMS["IK_t"].axioms - SYSTEMS["Int"].axioms)
+    out = []
+    for name in tense + ["BR1", "BR2", "BR3", "BR4"] + sorted(SYSTEMS["Int"].axioms):
+        schema = AXIOM_SCHEMAS[name]
+        out.append(substitute(schema, dict(zip(metavariables_of(schema), map(Var, "pqrs")))))
+    return out + [parse_formula(text) for text in NON_THEOREMS]
+
+
+def frame_validities() -> dict:
+    formulas = _sweep_formulas()
+    records = []
+    for fr in enumerate_frames(3):
+        for f in formulas:
+            cex = frame_validity(fr, f)
+            records.append((fr.n, [fr.name, render_formula(f), cex and [cex.valuation, cex.world]]))
+    return _digest_by_size(records)
+
+
 def _canonical_record(alg) -> list:
     try:
         cf = canonical_frame(alg)
@@ -301,6 +329,7 @@ def main() -> int:
         "equiv": equivs(),
         "conservativity": conservativity(),
         "frames": frames(),
+        "frame_validity": frame_validities(),
         "duality": duality(),
         "proofs": proofs(),
         "cli": commands(),
