@@ -154,32 +154,35 @@ def _compare(base: HeytingAlgebra, mode: str, lhs, rhs) -> np.ndarray:
 
 
 # Each law's mode (how lhs and rhs compare when it holds), the pairs its
-# diamond d and box b come from, and its sides.  Combo (i, k) takes dia
-# and bbox from pair i, 0 here, and bdia and box from pair k, 1 here (see
-# _combo).  A law with d == b reads one pair.
+# diamond d and box b come from, its sides and its point.  Combo (i, k)
+# takes dia and bbox from pair i, 0 here, and bdia and box from pair k,
+# 1 here (see _combo).  A law with d == b reads one pair and has no
+# point.  A law of two pairs reads one of its tables at one argument
+# only, and its point names both: "bx" reads b only at x (see
+# _point_matrix).  The eight two-pair laws come last.
 _LAWS = {
-    "gc_dia_bbox": ("iff", 0, 0, _adjoint),
-    "gc_bdia_box": ("iff", 1, 1, _adjoint),
-    "additive_dia": ("eq", 0, 0, _additive),
-    "normal_dia": ("eq", 0, 0, _normal),
-    "additive_bdia": ("eq", 1, 1, _additive),
-    "normal_bdia": ("eq", 1, 1, _normal),
-    "multiplicative_box": ("eq", 1, 1, _multiplicative),
-    "conormal_box": ("eq", 1, 1, _conormal),
-    "multiplicative_bbox": ("eq", 0, 0, _multiplicative),
-    "conormal_bbox": ("eq", 0, 0, _conormal),
-    "br1": ("leq", 0, 0, _unit),
-    "br2": ("leq", 0, 0, _counit),
-    "br3": ("leq", 1, 1, _unit),
-    "br4": ("leq", 1, 1, _counit),
-    "fs1": ("leq", 0, 1, _fs_dia),
-    "fs2": ("leq", 0, 1, _fs_box),
-    "fs3": ("leq", 1, 0, _fs_dia),
-    "fs4": ("leq", 1, 0, _fs_box),
-    "d1": ("leq", 0, 1, _dunn_meet),
-    "d2": ("leq", 1, 0, _dunn_meet),
-    "dunn2_dia": ("leq", 0, 1, _dunn_join),
-    "dunn2_bdia": ("leq", 1, 0, _dunn_join),
+    "gc_dia_bbox": ("iff", 0, 0, _adjoint, None),
+    "gc_bdia_box": ("iff", 1, 1, _adjoint, None),
+    "additive_dia": ("eq", 0, 0, _additive, None),
+    "normal_dia": ("eq", 0, 0, _normal, None),
+    "additive_bdia": ("eq", 1, 1, _additive, None),
+    "normal_bdia": ("eq", 1, 1, _normal, None),
+    "multiplicative_box": ("eq", 1, 1, _multiplicative, None),
+    "conormal_box": ("eq", 1, 1, _conormal, None),
+    "multiplicative_bbox": ("eq", 0, 0, _multiplicative, None),
+    "conormal_bbox": ("eq", 0, 0, _conormal, None),
+    "br1": ("leq", 0, 0, _unit, None),
+    "br2": ("leq", 0, 0, _counit, None),
+    "br3": ("leq", 1, 1, _unit, None),
+    "br4": ("leq", 1, 1, _counit, None),
+    "fs1": ("leq", 0, 1, _fs_dia, "bx"),
+    "fs2": ("leq", 0, 1, _fs_box, "dx"),
+    "fs3": ("leq", 1, 0, _fs_dia, "bx"),
+    "fs4": ("leq", 1, 0, _fs_box, "dx"),
+    "d1": ("leq", 0, 1, _dunn_meet, "by"),
+    "d2": ("leq", 1, 0, _dunn_meet, "by"),
+    "dunn2_dia": ("leq", 0, 1, _dunn_join, "dy"),
+    "dunn2_bdia": ("leq", 1, 0, _dunn_join, "dy"),
 }
 
 LAW_NAMES: tuple[str, ...] = tuple(_LAWS)
@@ -326,8 +329,7 @@ class AlgebraWithOps:
             f, g = (self.dia, self.bdia), (self.bbox, self.box)
             bits = self._bits
             if bits is None:
-                stack = self.base, np.array(f), np.array(g)
-                bits = int(_grade(*stack, slice(0, 1), slice(1, 2), {})[0, 0])
+                bits = int(_grade(self.base, np.array(f), np.array(g))[0, 1])
             self._laws = LawReport(bits, self.base, f, g)
         return self._laws
 
@@ -360,8 +362,8 @@ def _witness(base: HeytingAlgebra, pairs: tuple, law: str) -> LawWitness:
     Galois pairs (f, g) it is combo (0, 1) of: the law's first failing
     argument tuple in row-major order, with both sides there.  These are
     the structure's own law arrays, so the witness does not depend on
-    the chunk the structure was graded in."""
-    (mode, d, b, sides), (f, g) = _LAWS[law], pairs
+    how the structure was graded."""
+    (mode, d, b, sides, _), (f, g) = _LAWS[law], pairs
     lhs, rhs = sides(base, f[d][None], g[b][None])
     ok = _compare(base, mode, lhs, rhs)
     at = int(ok.argmin())
@@ -370,34 +372,61 @@ def _witness(base: HeytingAlgebra, pairs: tuple, law: str) -> LawWitness:
     return LawWitness(tuple(map(int, np.unravel_index(at, ok.shape[1:]))), lw, rw)
 
 
-def _grade(
-    base: HeytingAlgebra, f: np.ndarray, g: np.ndarray, rows: slice, cols: slice, graded: dict
-) -> np.ndarray:
-    """Verdict bits of the combos (i, k) of a stack of Galois pairs with
-    i in rows and k in cols, as one int array with a row per i and a
-    column per k (see law_bits for the bits).
+def _point_matrix(base: HeytingAlgebra, mode: str, sides, point: str, f, g) -> np.ndarray:
+    """Where a two-pair law holds with diamond f[p] and box g[q], as a
+    (P, P) bool matrix indexed [p, q].
+
+    The law reads its point table (d or b) at one argument only (x or
+    y).  So it is graded once per table of the other stack, with the
+    point table replaced by every constant value a at once, and reduced
+    over the other argument: held[row, a, t] says the law holds at
+    every other argument wherever the point table reads a at t.  A
+    point table then holds with a row iff held[row, table[t], t] at
+    every t.  That costs P * n^3 cells per law, then P * P * n for the
+    matrix, and uses no adjointness, so any tables grade this way.
+    """
+    values = np.arange(base.n)
+    reduce = -1 if point[1] == "x" else -2  # the other argument's axis
+    if point[0] == "b":
+        held = _compare(base, mode, *sides(base, f[:, None], values[:, None])).all(axis=reduce)
+        return held[:, g, values].all(axis=-1)
+    held = _compare(base, mode, *sides(base, values[:, None], g[:, None])).all(axis=reduce)
+    return held[:, f, values].all(axis=-1).T
+
+
+def _grade(base: HeytingAlgebra, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Verdict bits of every combo (i, k) of a stack of Galois pairs, as
+    one (P, P) int32 array indexed [i, k] (see law_bits for the bits).
 
     f stacks P lower adjoints and g their upper adjoints, one pair per
     row; combo (i, k) reads pair i as (dia, bbox) and pair k as (bdia,
-    box), as _combo builds it.  The fourteen laws that read one pair
-    have seven shapes, each graded once per pair of the stack and kept
-    in graded, which the chunks of one stack share.  The eight that
-    read two pairs are graded on the combos asked for, one row of a
-    bool matrix per law.
+    box), as _combo builds it.  Each sides function is graded once: a
+    one-pair shape as one verdict per pair, which gives its laws' bits
+    to the rows i or the columns k; a two-pair shape as one matrix (see
+    _point_matrix), which a law taking its diamond from pair k reads
+    transposed.  The eight two-pair laws are the top byte of the bits.
     """
     p = len(f)
-    ii, kk = range(p)[rows], range(p)[cols]
-    held = np.empty((len(_LAWS), len(ii), len(kk)), dtype=bool)
-    at = ((rows, None), cols)  # the rows of pair i, of pair k
-    for row, (mode, d, b, sides) in enumerate(_LAWS.values()):
-        if d != b:
-            held[row] = _compare(base, mode, *sides(base, f[at[d]], g[at[b]])).all(axis=(-2, -1))
-            continue
+    first = len(_LAWS) - 8
+    one = np.zeros((2, first, p), dtype=bool)  # the one-pair verdicts of pair i, of pair k
+    two = np.empty((8, p, p), dtype=bool)
+    graded: dict = {}
+    for bit, (mode, d, b, sides, point) in enumerate(_LAWS.values()):
         if sides not in graded:
-            graded[sides] = _compare(base, mode, *sides(base, f, g)).reshape(p, -1).all(axis=1)
-        held[row] = graded[sides][at[d]]
-    bits = (1 << np.arange(len(_LAWS))) @ held.reshape(len(_LAWS), -1)
-    return bits.reshape(len(ii), len(kk))
+            if point is None:
+                ok = _compare(base, mode, *sides(base, f, g))
+                graded[sides] = ok.reshape(p, -1).all(axis=1)
+            else:
+                graded[sides] = _point_matrix(base, mode, sides, point, f, g)
+        if point is None:
+            one[d, bit] = graded[sides]
+        else:
+            two[bit - first] = graded[sides] if d == 0 else graded[sides].T
+    rows, cols = (1 << np.arange(first, dtype=np.int32)) @ one
+    bits = np.packbits(two, axis=0, bitorder="little")[0].astype(np.int32) << first
+    bits |= rows[:, None]
+    bits |= cols
+    return bits
 
 
 def _frozen(tables) -> np.ndarray:
@@ -424,7 +453,8 @@ def attach_ops(
         arr = _frozen(list(t))
         if arr.shape != (n,):
             raise ValueError(f"{label} table must list {n} values")
-        if arr.min() < 0 or arr.max() >= n:
+        values = arr.tolist()  # a Python min and max beat two array reductions here
+        if min(values) < 0 or max(values) >= n:
             raise ValueError(f"{label} table index out of range")
         tables[label] = arr
     return AlgebraWithOps(base, tables["dia"], tables["box"], tables["bdia"], tables["bbox"])
@@ -604,6 +634,8 @@ def algebra_validity(
     On failure returns the first countervaluation, ordering assignments
     lexicographically by (sorted variable name, element index).
     """
+    if var_cap < 0:
+        raise ValueError(f"var_cap must be 0 or more, not {var_cap}")
     if isinstance(formula, str):
         formula = parse_formula(formula)
     base, gather = _gather(alg)
@@ -696,15 +728,11 @@ def stock_algebras() -> dict[str, Union[HeytingAlgebra, AlgebraWithOps]]:
     return {name: build() for name, build in STOCK_ALGEBRAS.items()}
 
 
-# Cells per two-pair law array: a chunk of a base's combos pairs as many
-# rows i with all P rows k as fit, and always at least one.
-GRADE_CELLS = 1 << 14
-
 # Per process and keyed by the base's name: each enumerated base's
 # Galois-pair stack, and the verdict bits of its combos.  Both are made
 # when first asked for, so importing and listing bases build neither.
 _PAIR_STACKS: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-_VERDICTS: dict[str, "_Verdicts"] = {}
+_VERDICTS: dict[str, np.ndarray] = {}
 
 
 def _gc_stack(base: HeytingAlgebra) -> tuple[np.ndarray, np.ndarray]:
@@ -718,55 +746,23 @@ def _gc_stack(base: HeytingAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return stack
 
 
-class _Verdicts:
-    """The verdict bits of an enumerated base's combos (i, k) with i and
-    k below width, as one (width, width) int array, graded a chunk of
-    rows at a time, in order, when first read.
+def _verdicts(base: HeytingAlgebra, max_gc_pairs: Optional[int]) -> np.ndarray:
+    """The read-only verdict bits of an enumerated base's combos (i, k)
+    with i and k below p, the number of its Galois pairs under the cap
+    max_gc_pairs (None for all): the top-left p by p block of the one
+    array the base keeps.
 
-    A chunk is step rows i against all width rows k, with step as large
-    as keeps each two-pair law's array of step * width * n * n cells
-    within GRADE_CELLS.  The one-pair shapes are graded with the first
-    chunk and kept in graded for the others.
+    Only the first p pairs are graded, since the cap bounds the work.
+    A cap within the kept array's width reads it; a larger cap replaces
+    it with a wider one, graded anew.
     """
-
-    __slots__ = ("base", "f", "g", "width", "step", "bits", "done", "graded")
-
-    def __init__(self, base: HeytingAlgebra, width: int):
-        f, g = _gc_stack(base)
-        self.base, self.f, self.g, self.width = base, f[:width], g[:width], width
-        self.step = max(1, GRADE_CELLS // (width * base.n * base.n))
-        self.bits = np.empty((width, width), dtype=np.int32)
-        self.done = 0  # rows graded so far
-        self.graded: dict = {}
-
-    def chunk(self, start: int, p: int) -> np.ndarray:
-        """The read-only bits of the combos (i, k) with i in the chunk of
-        rows from start and k below p, grading the rows up to it first."""
-        stop = min(start + self.step, p)
-        while self.done < stop:
-            rows = slice(self.done, self.done + self.step)
-            self.bits[rows] = _grade(self.base, self.f, self.g, rows, slice(None), self.graded)
-            self.done = min(rows.stop, self.width)
-        bits = self.bits[start:stop, :p]
-        bits.flags.writeable = False
-        return bits
-
-
-def _verdicts(base: HeytingAlgebra, max_gc_pairs: Optional[int]) -> tuple[_Verdicts, int]:
-    """The kept verdicts of an enumerated base's combos, and the number p
-    of its Galois pairs under the cap max_gc_pairs (None for all).
-
-    A scan reads the top-left p by p block, a chunk of rows at a time:
-    for start in range(0, p, kept.step), kept.chunk(start, p).  Each
-    base keeps one array: a cap within its width reads it, a larger cap
-    replaces it with a wider one, graded anew.
-    """
-    f, _ = _gc_stack(base)
+    f, g = _gc_stack(base)
     p = len(f) if max_gc_pairs is None else min(max_gc_pairs, len(f))
     kept = _VERDICTS.get(base.name)
-    if kept is None or kept.width < p:
-        kept = _VERDICTS[base.name] = _Verdicts(base, p)
-    return kept, p
+    if kept is None or len(kept) < p:
+        kept = _VERDICTS[base.name] = _grade(base, f[:p], g[:p])
+        kept.flags.writeable = False
+    return kept[:p, :p]
 
 
 def enumerate_op_combos(
@@ -781,12 +777,11 @@ def enumerate_op_combos(
     indices.  The bases, their Galois pairs and the verdicts of their
     combos are shared with every other call in the process (see
     enumerate_heyting and _verdicts); the first call to reach a base
-    builds its pairs, and each chunk of verdicts is graded when first
-    read.
+    builds its pairs and grades its combos.
     """
     for base in enumerate_heyting(n_max):
-        kept, p = _verdicts(base, max_gc_pairs)
-        for start in range(0, p, kept.step):
-            for i, row in enumerate(kept.chunk(start, p).tolist(), start):
-                for k, bits in enumerate(row):
-                    yield _combo(base, kept.f, kept.g, i, k, bits)
+        bits = _verdicts(base, max_gc_pairs)
+        f, g = _gc_stack(base)
+        for i, row in enumerate(bits):
+            for k, b in enumerate(row.tolist()):
+                yield _combo(base, f, g, i, k, b)

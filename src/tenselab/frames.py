@@ -35,7 +35,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 import numpy as np
 
-from .lattice import mask_rows, permutations, relabeled_codes, transitive_closure, up_sets
+from .lattice import (
+    _some_table,
+    mask_rows,
+    permutations,
+    relabeled_codes,
+    transitive_closure,
+    up_sets,
+)
 from .syntax import (
     And,
     BBox,
@@ -236,20 +243,6 @@ class Model:
 _CLAUSES = (Not, Dia, Box, BDia, BBox)
 
 
-def _some_table(rel: np.ndarray) -> np.ndarray:
-    """Entry m is the bitmask of the worlds x with rel[x, y] for some
-    world y in bitmask m, for every m in [0, 2^n).
-
-    Built by doubling: the sets holding world j are the sets below 2^j
-    with j added, so their entries are those below 2^j with column j of
-    rel added.
-    """
-    table = np.zeros(1 << len(rel), dtype=np.intp)
-    for j, column in enumerate(mask_rows(rel.T)):
-        table[1 << j : 2 << j] = table[: 1 << j] | column
-    return table
-
-
 def _some(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """Column x of row v is set iff rel[x, y] and a[v, y] for some world y.
 
@@ -362,6 +355,8 @@ def frame_validity(
     world bitmasks, and each unary clause is a lookup in the frame's
     clause table.
     """
+    if var_cap < 0:
+        raise ValueError(f"var_cap must be 0 or more, not {var_cap}")
     if isinstance(formula, str):
         formula = parse_formula(formula)
     program = compile_formula(formula)

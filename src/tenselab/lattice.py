@@ -80,27 +80,29 @@ def name_pairs(rel: np.ndarray, names: Sequence[str]) -> list[list[str]]:
     return [[names[i], names[j]] for i, j in np.argwhere(rel).tolist()]
 
 
+def _some_table(rel: np.ndarray) -> np.ndarray:
+    """Entry m is the bitmask of the points x with rel[x, y] for some
+    point y in bitmask m, for every m in [0, 2^n).
+
+    Built by doubling: the sets holding point j are the sets below 2^j
+    with j added, so their entries are those below 2^j with column j of
+    rel added.
+    """
+    table = np.zeros(1 << len(rel), dtype=np.intp)
+    for j, column in enumerate(mask_rows(rel.T)):
+        table[1 << j : 2 << j] = table[: 1 << j] | column
+    return table
+
+
 def up_sets(leq: np.ndarray, stop: Optional[int] = None) -> tuple[int, ...]:
     """All up-sets of the preorder leq as bitmasks, ascending; with stop,
-    only the first stop of them, found without trying the masks past the
-    last one."""
+    only the first stop of them.  A mask is an up-set when it is its own
+    up-closure, read from the closure table of every mask."""
     n = len(leq)
     if n > 20:
         raise OrderError("up-set enumeration capped at 20 elements")
-    ups = mask_rows(leq)
-    out = []
-    for mask in range(1 << n):
-        closure = 0
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            closure |= ups[i]
-            rest &= rest - 1
-        if closure == mask:
-            out.append(mask)
-            if len(out) == stop:
-                break
-    return tuple(out)
+    closure = _some_table(leq.T)
+    return tuple(np.flatnonzero(closure == np.arange(1 << n))[:stop].tolist())
 
 
 # ------------------------------------------------------------ Heyting core

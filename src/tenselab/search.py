@@ -10,13 +10,13 @@ golden witnesses stay stable across runs.
 
 The countermodel hunt and the law comparison read the verdict bits of
 each base's combos from arrays kept per base and per process (see
-algebra._verdicts): a chunk is graded the first time any scan reaches
-it, and later scans only read it.  They scan one chunk at a time: one
-mask test over the chunk's bits finds its eligible combos, and the hunt
+algebra._verdicts): a base is graded the first time any scan reaches
+it, and later scans only read it.  They scan one base at a time: one
+mask test over the base's bits finds its eligible combos, and the hunt
 evaluates the formula on many of them at once, in blocks of at most
 VALUATION_BLOCK (combo, valuation) cells.  The clock is read before each
-base's Galois pairs are built, before each chunk is graded and before
-each block, so a timeout's combos/eligible count whole chunks; a found
+base's Galois pairs are built, before each base is graded and before
+each block, so a timeout's combos/eligible count whole bases; a found
 verdict's count the combos up to and including the witness.
 """
 
@@ -42,6 +42,7 @@ from .algebra import (
     ModalOperatorPresent,
     _combo,
     _first_failure,
+    _gc_stack,
     _verdicts,
     algebra_validity,
     identity_expansion,
@@ -184,13 +185,13 @@ def _scan_combos(
     ambient: Sequence[str],
     judge: Callable[..., Iterator[Callable[[], Optional[tuple[int, object]]]]],
 ) -> Verdict:
-    # walk the combo stream a chunk of kept verdicts at a time.  For each
-    # chunk, judge(base, f, g, i, k, bits) gets the combos (i[j], k[j])
-    # of the pair stack (f, g) whose ambient laws hold, with their bits,
-    # in stream order; it yields one function per block of them, which
+    # walk the combo stream a base at a time.  For each base,
+    # judge(base, f, g, i, k, bits) gets the combos (i[j], k[j]) of its
+    # pair stack (f, g) whose ambient laws hold, with their bits, in
+    # stream order; it yields one function per block of them, which
     # returns (j, witness) for the block's first hit, or None.  The clock
-    # is read before each base's pair stack is built, before each chunk
-    # is graded and before each block; a timeout counts whole chunks.
+    # is read before each base's pair stack is built, before each base
+    # is graded and before each block; a timeout counts whole bases.
     clock = _Clock(bounds.deadline_seconds)
     need = law_bits(ambient)
     combos = eligible = 0
@@ -201,22 +202,22 @@ def _scan_combos(
     for base in enumerate_heyting(bounds.max_algebra_size):
         if clock.expired():
             return verdict("timeout")
-        kept, p = _verdicts(base, bounds.max_gc_pairs)
-        for start in range(0, p, kept.step):
+        f, g = _gc_stack(base)
+        if clock.expired():
+            return verdict("timeout")
+        kept = _verdicts(base, bounds.max_gc_pairs)
+        p, bits = len(kept), kept.ravel()
+        ok = np.flatnonzero((bits & need) == need)
+        scanned = combos, eligible
+        combos, eligible = combos + len(bits), eligible + len(ok)
+        for block in judge(base, f, g, ok // p, ok % p, bits[ok]):
             if clock.expired():
                 return verdict("timeout")
-            bits = kept.chunk(start, p).ravel()
-            ok = np.flatnonzero((bits & need) == need)
-            scanned = combos, eligible
-            combos, eligible = combos + len(bits), eligible + len(ok)
-            for block in judge(base, kept.f, kept.g, start + ok // p, ok % p, bits[ok]):
-                if clock.expired():
-                    return verdict("timeout")
-                hit = block()
-                if hit is not None:
-                    j, witness = hit
-                    combos, eligible = scanned[0] + int(ok[j]) + 1, scanned[1] + j + 1
-                    return verdict("found", witness)
+            hit = block()
+            if hit is not None:
+                j, witness = hit
+                combos, eligible = scanned[0] + int(ok[j]) + 1, scanned[1] + j + 1
+                return verdict("found", witness)
     return verdict("exhausted")
 
 
@@ -277,7 +278,7 @@ def test_law_equivalence(
     "forward" looks for laws_a all holding while some law in laws_b
     fails, "backward" swaps the roles, "either" tries forward then
     backward on each structure.  An exhausted verdict means the sets
-    are equivalent over every structure within bounds.  Each chunk of
+    are equivalent over every structure within bounds.  Each base of
     the stream is tested as one array of verdict bits.
     """
     if direction not in ("forward", "backward", "either"):

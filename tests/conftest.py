@@ -39,7 +39,7 @@ def ik_frames_upto3():
 
 @pytest.fixture
 def fresh_verdicts(monkeypatch):
-    """An empty store of kept verdict arrays for one test, so every chunk
+    """An empty store of kept verdict arrays for one test, so every base
     the test reads is graded in it; the process's store comes back after."""
     monkeypatch.setattr(algebra, "_VERDICTS", {})
 
@@ -47,8 +47,8 @@ def fresh_verdicts(monkeypatch):
 @pytest.fixture
 def grades(monkeypatch, fresh_verdicts):
     """The base of every call to the law grader, in call order: one per
-    chunk of the stream, one per structure graded alone.  The kept
-    verdicts start empty, so every chunk read is graded here."""
+    base of the stream, one per structure graded alone.  The kept
+    verdicts start empty, so every base read is graded here."""
     calls = []
     grade = algebra._grade
 

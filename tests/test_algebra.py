@@ -53,6 +53,7 @@ from tenselab.syntax import (
     parse_schema,
 )
 
+import util
 from util import peak_allocation, random_formula
 
 # ---------------------------------------------------------------- oracles
@@ -171,7 +172,7 @@ def _eager_verdicts(n_max, max_gc_pairs=None):
         gs = (np.repeat(uppers, p, axis=0), np.tile(uppers, (p, 1)))
         columns = []
         for law in LAW_NAMES:
-            mode, d, b, sides = algebra._LAWS[law]
+            mode, d, b, sides, _ = algebra._LAWS[law]
             lhs, rhs = sides(base, fs[d], gs[b])
             ok = base.leq[lhs, rhs] if mode == "leq" else lhs == rhs
             columns.append(_verdicts(ok, lhs, rhs))
@@ -391,10 +392,30 @@ class TestGrader:
         alg = attach_ops(base, *tables)
         assert _graded(alg.laws) == _scalar_laws(alg)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_arbitrary_tables_match_scalar_checker(self, data):
+        # four arbitrary tables, Galois or not: the one-point grading of
+        # the two-pair laws uses no adjointness
+        base = data.draw(st.sampled_from(_BASES_UPTO4), label="base")
+        table = st.lists(st.integers(0, base.n - 1), min_size=base.n, max_size=base.n)
+        alg = attach_ops(base, *(data.draw(table) for _ in range(4)))
+        assert _graded(alg.laws) == _scalar_laws(alg)
+
+    def test_kept_bits_match_grid_grading_upto6(self, fresh_verdicts):
+        combos = 0
+        for base in enumerate_heyting(6):
+            f, g = algebra._gc_stack(base)
+            kept = algebra._verdicts(base, None)
+            assert kept.dtype == np.int32
+            assert (kept == util.grid_bits(base, f, g)).all(), base.name
+            combos += kept.size
+        assert combos == 173157
+
     def test_stream_matches_attach_ops(self, op_combos_upto5, graded_alone_upto5):
-        # with the default cell budget each size-5 base's rows split into
-        # chunks of 9 or 13, the last one short; the scalar checker, slow
-        # at size 5, stops at size 4
+        # a base's stack grades its combos together, attach_ops grades
+        # each as a stack of two; the scalar checker, slow at size 5,
+        # stops at size 4
         for alg, alone in zip(op_combos_upto5, graded_alone_upto5, strict=True):
             assert alg.laws.bits == alone.bits
             if alg.n <= 4:
@@ -408,40 +429,6 @@ class TestGrader:
     def test_capped_stream_matches_eager_grading(self):
         stream = [list(alg.laws.verdicts.items()) for alg in enumerate_op_combos(6, 4)]
         assert stream == _eager_verdicts(6, 4)
-
-    def test_chunks_read_in_any_order(self, fresh_verdicts, op_combos_upto5):
-        # reading a base's last chunk first grades the rows before it as
-        # well, so reading the chunks backwards gives the stream's combos
-        # backwards
-        read = []
-        for base in reversed(list(enumerate_heyting(5))):
-            kept, p = algebra._verdicts(base, None)
-            for start in reversed(range(0, p, kept.step)):
-                bits = kept.chunk(start, p)
-                for (i, k), b in reversed(list(np.ndenumerate(bits))):
-                    f, g = kept.f, kept.g
-                    read.append((base, b, f[start + i], g[k], f[k], g[start + i]))
-        for (base, bits, *tables), was in zip(read[::-1], op_combos_upto5, strict=True):
-            assert base is was.base and bits == was.laws.bits
-            for table, got in zip(("dia", "box", "bdia", "bbox"), tables):
-                assert (got == getattr(was, table)).all()
-
-    @pytest.mark.parametrize("cells", [1, 2600])
-    def test_chunk_boundaries(self, monkeypatch, grades, op_combos_upto5, eager_upto5, cells):
-        # a budget of 1 grades one row i per chunk; 2600 puts whole
-        # size-3 bases in one chunk, splits size-4 bases as 10 + 6 and
-        # 8 + 8 + 4 rows and size-5 bases into 2- or 1-row chunks
-        monkeypatch.setattr(algebra, "GRADE_CELLS", cells)
-        stream = list(enumerate_op_combos(5))
-        chunks = Counter(base.name for base in grades)
-        assert chunks["ha4_3"] == (16 if cells == 1 else 2)
-        assert chunks["ha5_6"] == (50 if cells == 1 else 25)
-        for alg, was, eager in zip(stream, op_combos_upto5, eager_upto5, strict=True):
-            assert alg.base is was.base
-            for table in ("dia", "box", "bdia", "bbox"):
-                assert (getattr(alg, table) == getattr(was, table)).all()
-            assert alg.laws.bits == was.laws.bits
-            assert list(alg.laws.verdicts.items()) == eager
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +529,12 @@ class TestLawVocabulary:
             "d1",
             "d2",
         }
+
+    def test_two_pair_laws_are_the_top_byte(self):
+        # the grader packs the two-pair laws, and only they, into bits
+        # 14-21, and grades each through its point
+        for law, (_, d, b, _, point) in algebra._LAWS.items():
+            assert (d != b) == (point is not None) == (law in LAW_NAMES[14:]), law
 
     def test_dunn_separating_report(self):
         alg = dunn_separating_algebra()
@@ -746,6 +739,13 @@ class TestValidity:
         assert algebra_validity(chain(2), "p1 & p2 & p3 & p4 & p5", var_cap=5) == {
             f"p{i}": 0 for i in range(1, 6)
         }
+
+    def test_negative_var_cap(self, monkeypatch):
+        # named as a bad argument, not as a cap that a formula with no
+        # variables exceeds, and before any valuation grid is built
+        monkeypatch.setattr(algebra, "valuation_blocks", None)
+        with pytest.raises(ValueError, match="var_cap must be 0 or more, not -1"):
+            algebra_validity(chain(3), "top", var_cap=-1)
 
 
 class TestIntermediateSchemes:

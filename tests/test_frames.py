@@ -481,6 +481,11 @@ class TestFrameValidity:
         with pytest.raises(CapExceeded):
             frame_validity(fr, "p1 & p2 & p3 & p4 & p5")
 
+    def test_negative_var_cap(self, monkeypatch):
+        monkeypatch.setattr(frames, "valuation_blocks", None)
+        with pytest.raises(ValueError, match="var_cap must be 0 or more, not -1"):
+            frame_validity(stock_frames()["one_point"], "top", var_cap=-1)
+
     def test_up_sets_listed_once_per_frame(self, monkeypatch):
         calls = []
         original = frames.up_sets

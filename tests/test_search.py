@@ -14,6 +14,7 @@ from tenselab.algebra import (
     EXTRA_LAWS,
     H2GC_FS_LAWS,
     ModalOperatorPresent,
+    enumerate_gc_pairs,
     evaluate,
 )
 from tenselab.lattice import enumerate_heyting
@@ -138,12 +139,9 @@ class TestCountermodelHunt:
 
         monkeypatch.setattr(search, "_first_failure", slow)
 
-    def test_clock_read_before_each_chunk(self, monkeypatch, fresh_verdicts):
-        # one combo per base, so one chunk and one block per base; the
-        # first block uses up the deadline, and no law of the next base
-        # is graded
-        now = [0.0]
-        self._slow_blocks(monkeypatch, now)
+    @staticmethod
+    def _noted_laws(monkeypatch):
+        # the name of the base of every call to a law's sides function
         graded = []
 
         def noted(sides):
@@ -154,9 +152,37 @@ class TestCountermodelHunt:
             return counted
 
         wrapped = {}  # laws sharing a sides function share its wrapper
-        for law, (mode, d, b, sides) in algebra._LAWS.items():
+        for law, (mode, d, b, sides, point) in algebra._LAWS.items():
             wrapped.setdefault(sides, noted(sides))
-            monkeypatch.setitem(algebra._LAWS, law, (mode, d, b, wrapped[sides]))
+            monkeypatch.setitem(algebra._LAWS, law, (mode, d, b, wrapped[sides], point))
+        return graded
+
+    def test_clock_read_before_each_base_grading(self, monkeypatch, fresh_verdicts):
+        # one combo per base, so one grading and one block per base; the
+        # first block uses up the deadline, and no law of the next base
+        # is graded
+        now = [0.0]
+        self._slow_blocks(monkeypatch, now)
+        graded = self._noted_laws(monkeypatch)
+        bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=5)
+        verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
+        assert verdict.status == "timeout"
+        assert (verdict.scanned["combos"], verdict.scanned["eligible"]) == (1, 1)
+        assert set(graded) == {"ha1_0"}
+
+    def test_clock_read_between_pair_stack_and_grading(self, monkeypatch, fresh_verdicts):
+        # building the second base's Galois pairs uses up the deadline,
+        # so that base is not graded
+        now = [0.0]
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        gc_stack = search._gc_stack
+
+        def slow(base):
+            now[0] += 10 * (base.n == 2)
+            return gc_stack(base)
+
+        monkeypatch.setattr(search, "_gc_stack", slow)
+        graded = self._noted_laws(monkeypatch)
         bounds = SearchBounds(max_algebra_size=3, max_gc_pairs=1, deadline_seconds=5)
         verdict = find_algebra_countermodel("p -> p", bounds, laws_required=())
         assert verdict.status == "timeout"
@@ -342,16 +368,19 @@ class TestKeptVerdicts:
         def graded_after(*args):
             start = len(grades)
             list(algebra.enumerate_op_combos(*args))
-            return len(grades) - start
+            return [base.name for base in grades[start:]]
 
-        assert graded_after(4, 2) == 5  # one chunk per base
-        assert graded_after(4, 1) == 0  # the top-left block
-        assert graded_after(4, 2) == 0
-        assert graded_after(4) == 3  # wider: the three bases with over 2 pairs
-        assert graded_after(4, 2) == graded_after(4) == 0
-        kept, p = algebra._verdicts(list(enumerate_heyting(4))[-1], None)
+        assert len(graded_after(4, 2)) == 5  # one grading per base
+        assert graded_after(4, 1) == []  # the top-left block
+        assert graded_after(4, 2) == []
+        wider = graded_after(4)  # regraded: the bases with over 2 pairs
+        assert wider == [b.name for b in enumerate_heyting(4) if len(enumerate_gc_pairs(b)) > 2]
+        assert len(wider) == 3
+        assert graded_after(4, 2) == graded_after(4) == []
+        block = algebra._verdicts(list(enumerate_heyting(4))[-1], 2)
+        assert block.shape == (2, 2)
         with pytest.raises(ValueError, match="read-only"):
-            kept.chunk(0, p)[0, 0] = 0
+            block[0, 0] = 0
 
 
 class TestConservativity:

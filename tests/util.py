@@ -1,7 +1,9 @@
 """Small helpers shared between test modules, the scalar relabeling and
 frame-listing loops kept as oracles for the array engine, the bool-row
-frame sweep kept as an oracle for the clause-table sweep, and the
-one-combo-at-a-time search loop kept as an oracle for the chunked scan."""
+frame sweep kept as an oracle for the clause-table sweep, the n^2-cell
+grading of the two-pair laws kept as an oracle for the one-point
+grader, and the one-combo-at-a-time search loop kept as an oracle for
+the per-base scan."""
 
 import itertools
 import random
@@ -9,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from tenselab import proofs
+from tenselab import algebra, proofs
 from tenselab.algebra import (
     H2GC_LAWS,
     CapExceeded,
@@ -52,6 +54,28 @@ from tenselab.syntax import (
 _LEAVES = ("var", "var", "var", "top", "bot")
 _UNARY = (Not, Dia, Box, BDia, BBox)
 _BINARY = (And, Or, Imp, Iff)
+
+
+def grid_bits(base, f, g):
+    """The verdict bits of every combo (i, k) of a stack of Galois pairs
+    (f, g), as algebra._grade gives them, with each two-pair law graded
+    on its whole n x n argument grid for every combo, 16 rows i at a
+    time to bound the memory."""
+    p = len(f)
+    bits = np.zeros((p, p), dtype=np.int64)
+    for bit, (mode, d, b, sides, _) in enumerate(algebra._LAWS.values()):
+        if d == b:
+            ok = algebra._compare(base, mode, *sides(base, f, g)).reshape(p, -1).all(axis=1)
+            bits |= (ok[:, None] if d == 0 else ok[None, :]).astype(np.int64) << bit
+            continue
+        for lo in range(0, p, 16):
+            i = slice(lo, lo + 16)
+            # pair i on the leading axis, pair k on the next
+            dia = f[i, None] if d == 0 else f[None, :]
+            box = g[None, :] if b == 1 else g[i, None]
+            ok = algebra._compare(base, mode, *sides(base, dia, box)).all(axis=(-2, -1))
+            bits[i] |= np.broadcast_to(ok, bits[i].shape).astype(np.int64) << bit
+    return bits
 
 
 def random_formula(rng: random.Random, depth: int = 4, vars=("p", "q", "r"), meta=()):

@@ -9,6 +9,9 @@ that keeps every result keeps the document byte for byte.  It covers
 - the combo streams of enumerate_op_combos for (4), (5, 1), (5), (6, 4),
   (7, 3) and (6): their order, tables, verdict bits, verdicts and
   witnesses, as counts plus one digest per base;
+- the uncapped size-7 stream, enumerate_op_combos(7): its count and one
+  digest per base over each combo's verdict bits, in stream order (bits
+  only, no witnesses);
 - searches, equiv runs and conservativity checks: status, counts and
   witness;
 - the IK frames of enumerate_frames(3), as a count and one digest per
@@ -30,7 +33,8 @@ that keeps every result keeps the document byte for byte.  It covers
 
 Wall-clock `seconds` are masked, so the document does not depend on the
 machine.  The uncapped size-6 stream reads every witness of 173,157
-combos; a run takes about half a minute on a 2-core machine.
+combos, and the size-7 stream walks 2,926,033 combos; a run takes
+about half a minute on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -140,6 +144,14 @@ def streams() -> dict:
             "bases": {name: h.hexdigest() for name, h in digests.items()},
         }
     return out
+
+
+def stream7() -> dict:
+    digests, combos = {}, 0
+    for alg in enumerate_op_combos(7):
+        digests.setdefault(alg.base.name, hashlib.sha256()).update(b"%d\n" % alg.laws.bits)
+        combos += 1
+    return {"combos": combos, "bases": {name: h.hexdigest() for name, h in digests.items()}}
 
 
 def _algebra_summary(alg) -> list:
@@ -325,6 +337,7 @@ def main() -> int:
     doc = {
         "bases": bases(),
         "streams": streams(),
+        "stream7": stream7(),
         "searches": searches(),
         "equiv": equivs(),
         "conservativity": conservativity(),
